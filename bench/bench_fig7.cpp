@@ -13,6 +13,7 @@
 #include "bench_algos.h"
 #include "bench_common.h"
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -83,12 +84,12 @@ std::uint64_t json_sum_u64(const std::string& json, const char* key,
 }
 
 /// EXPLAIN ANALYZE coverage: profile one representative DAG per exec mode
-/// and report how much of the measured wall time the per-node kernel and
-/// I/O-wait attributions explain. Keeps the profiler honest on the same
-/// workload shape the figure times.
+/// and report how much of the pass's thread time (threads x wall) the
+/// per-node kernel and I/O-wait attributions explain. Keeps the profiler
+/// honest on the same workload shape the figure times.
 void explain_analyze_coverage(const dense_matrix& X, bench_json& out) {
   header("EXPLAIN ANALYZE coverage (per exec mode)",
-         "per-node kernel+io attribution as a share of profiled wall time "
+         "per-node kernel+io attribution as a share of threads x wall "
          "(the acceptance gate tests 1-thread kernel coverage >= 85%)");
   const exec_mode saved = conf().mode;
   for (exec_mode m :
@@ -97,13 +98,17 @@ void explain_analyze_coverage(const dense_matrix& X, bench_json& out) {
     dense_matrix d = sum(exp(X * 0.5) + sqrt(abs(X)));
     const std::string json = d.explain_analyze();
     const std::uint64_t wall = json_u64(json, "wall_ns");
+    // kernel and io-wait are summed over the pass's threads, so the time
+    // they can cover is threads x wall.
+    const std::uint64_t threads = std::max<std::uint64_t>(
+        1, json_u64(json, "threads", json.find("\"passes\":")));
     const std::size_t totals = json.find("\"totals\":");
     const std::uint64_t kernel = json_sum_u64(json, "kernel_ns", totals);
     const std::uint64_t io = json_sum_u64(json, "io_wait_ns", totals);
     const double cover =
         wall == 0 ? 0.0
                   : static_cast<double>(kernel + io) /
-                        static_cast<double>(wall);
+                        static_cast<double>(threads * wall);
     std::printf("  %-12s wall %8.3f ms  kernel %8.3f ms  io-wait %8.3f ms  "
                 "coverage %5.1f%%\n",
                 exec_mode_name(m), static_cast<double>(wall) / 1e6,

@@ -1,14 +1,13 @@
 #include "io/async_io.h"
 
 #include <cstdio>
+#include <mutex>
 
 #include "common/config.h"
-#include "common/error.h"
-#include "common/log.h"
 #include "common/timer.h"
 #include "io/fault.h"
-#include "io/uring_io.h"
 #include "obs/metrics.h"
+#include "obs/sampler.h"
 #include "obs/trace.h"
 
 namespace flashr {
@@ -24,9 +23,14 @@ obs::histogram& write_hist() {
       obs::metrics_registry::global().get_histogram("io.write_us");
   return h;
 }
+obs::histogram& throttle_hist() {
+  static obs::histogram& h =
+      obs::metrics_registry::global().get_histogram("io.write_throttle_us");
+  return h;
+}
 }  // namespace
 
-thread_pool_backend::thread_pool_backend(int num_threads) {
+io_backend::io_backend(int num_threads) {
   if (num_threads < 1) num_threads = 1;
   threads_.reserve(static_cast<std::size_t>(num_threads));
   for (int i = 0; i < num_threads; ++i)
@@ -41,7 +45,7 @@ thread_pool_backend::thread_pool_backend(int num_threads) {
     });
 }
 
-thread_pool_backend::~thread_pool_backend() {
+io_backend::~io_backend() {
   {
     mutex_lock lock(io_mtx_);
     stop_ = true;
@@ -50,7 +54,7 @@ thread_pool_backend::~thread_pool_backend() {
   for (auto& t : threads_) t.join();
 }
 
-std::future<void> thread_pool_backend::submit_read(
+std::future<void> io_backend::submit_read(
     std::shared_ptr<const safs_file> file, std::size_t offset,
     std::size_t len, char* buf) {
   request req;
@@ -58,17 +62,12 @@ std::future<void> thread_pool_backend::submit_read(
   req.offset = offset;
   req.len = len;
   req.rbuf = buf;
-  req.is_write = false;
   std::future<void> fut = req.done.get_future();
-  {
-    mutex_lock lock(io_mtx_);
-    queue_.push_back(std::move(req));
-  }
-  cv_.notify_one();
+  enqueue(std::move(req));
   return fut;
 }
 
-void thread_pool_backend::submit_read_notify(
+void io_backend::submit_read_notify(
     std::shared_ptr<const safs_file> file, std::size_t offset,
     std::size_t len, char* buf, completion_fn done) {
   request req;
@@ -77,7 +76,10 @@ void thread_pool_backend::submit_read_notify(
   req.len = len;
   req.rbuf = buf;
   req.notify = std::move(done);
-  req.is_write = false;
+  enqueue(std::move(req));
+}
+
+void io_backend::enqueue(request req) {
   {
     mutex_lock lock(io_mtx_);
     queue_.push_back(std::move(req));
@@ -85,20 +87,16 @@ void thread_pool_backend::submit_read_notify(
   cv_.notify_one();
 }
 
-void thread_pool_backend::enqueue_write(request req) {
-  // Admit under the byte budget BEFORE queueing (the base class blocks here
-  // while over budget), so the queue never holds unadmitted write bytes.
+void io_backend::enqueue_write(request req) {
+  // Admit under the byte budget BEFORE queueing (blocks here while over
+  // budget), so the queue never holds unadmitted write bytes.
   admit_write(req.len);
-  {
-    mutex_lock lock(io_mtx_);
-    queue_.push_back(std::move(req));
-  }
-  cv_.notify_one();
+  enqueue(std::move(req));
 }
 
-void thread_pool_backend::submit_write(std::shared_ptr<safs_file> file,
-                                       std::size_t offset, std::size_t len,
-                                       pool_buffer buf) {
+void io_backend::submit_write(std::shared_ptr<safs_file> file,
+                              std::size_t offset, std::size_t len,
+                              pool_buffer buf) {
   request req;
   req.wfile = std::move(file);
   req.offset = offset;
@@ -108,9 +106,9 @@ void thread_pool_backend::submit_write(std::shared_ptr<safs_file> file,
   enqueue_write(std::move(req));
 }
 
-void thread_pool_backend::submit_write(std::shared_ptr<safs_file> file,
-                                       std::size_t offset, std::size_t len,
-                                       pool_lease buf) {
+void io_backend::submit_write(std::shared_ptr<safs_file> file,
+                              std::size_t offset, std::size_t len,
+                              pool_lease buf) {
   request req;
   req.wfile = std::move(file);
   req.offset = offset;
@@ -120,10 +118,91 @@ void thread_pool_backend::submit_write(std::shared_ptr<safs_file> file,
   enqueue_write(std::move(req));
 }
 
-std::string thread_pool_backend::debug_snapshot() const {
+void io_backend::admit_write(std::size_t len) {
+  const std::size_t budget = conf().max_inflight_write_bytes;
+  mutex_lock lock(budget_mtx_);
+  // Bounded write-behind: admit the write only when it fits the budget.
+  // An oversized write is admitted once nothing else is in flight, so the
+  // bound cannot deadlock; the effective high-water mark is then
+  // max(budget, largest single write).
+  if (budget != 0 && inflight_write_bytes_ != 0 &&
+      inflight_write_bytes_ + len > budget) {
+    OBS_SPAN_ARG("io.write_throttle", len);
+    // Sampling profiler: time stalled on the write budget is I/O wait.
+    obs::sample_wait_scope sample_scope(obs::sample_state::io_wait);
+    ++throttle_stalls_;
+    const std::uint64_t t0 = now_ns();
+    while (inflight_write_bytes_ != 0 && inflight_write_bytes_ + len > budget)
+      cv_write_budget_.wait(lock);
+    const std::uint64_t stalled = now_ns() - t0;
+    throttle_stall_ns_ += stalled;
+    if (obs::metrics_on()) throttle_hist().record(stalled / 1000);
+  }
+  inflight_write_bytes_ += len;
+  if (inflight_write_bytes_ > write_hwm_bytes_)
+    write_hwm_bytes_ = inflight_write_bytes_;
+  ++pending_writes_;
+}
+
+void io_backend::complete_write(std::size_t len, std::exception_ptr err) {
+  mutex_lock lock(budget_mtx_);
+  if (err && !write_error_) write_error_ = std::move(err);
+  inflight_write_bytes_ -= len;
+  cv_write_budget_.notify_all();
+  if (--pending_writes_ == 0) cv_drained_.notify_all();
+}
+
+void io_backend::stamp_completion() {
+  last_completion_ns_.store(now_ns(), std::memory_order_relaxed);
+}
+
+void io_backend::drain_writes() {
+  mutex_lock lock(budget_mtx_);
+  while (pending_writes_ != 0) cv_drained_.wait(lock);
+  if (write_error_) {
+    auto err = write_error_;
+    write_error_ = nullptr;
+    std::rethrow_exception(err);
+  }
+}
+
+int io_backend::pending_writes() const {
+  mutex_lock lock(budget_mtx_);
+  return pending_writes_;
+}
+
+io_backend::write_throttle_stats io_backend::throttle_stats() const {
+  mutex_lock lock(budget_mtx_);
+  write_throttle_stats s;
+  s.stalls = throttle_stalls_;
+  s.stall_ns = throttle_stall_ns_;
+  s.hwm_bytes = write_hwm_bytes_;
+  s.inflight_bytes = inflight_write_bytes_;
+  return s;
+}
+
+void io_backend::reset_throttle_hwm() {
+  mutex_lock lock(budget_mtx_);
+  write_hwm_bytes_ = inflight_write_bytes_;
+}
+
+std::string io_backend::write_budget_json() const {
+  mutex_lock lock(budget_mtx_);
+  std::string s = "{\"pending_writes\": " + std::to_string(pending_writes_);
+  s += ", \"inflight_write_bytes\": " + std::to_string(inflight_write_bytes_);
+  s += ", \"write_hwm_bytes\": " + std::to_string(write_hwm_bytes_);
+  s += ", \"throttle_stalls\": " + std::to_string(throttle_stalls_);
+  s += ", \"throttle_stall_ns\": " + std::to_string(throttle_stall_ns_);
+  s += ", \"write_error\": ";
+  s += write_error_ ? "true" : "false";
+  s += "}";
+  return s;
+}
+
+std::string io_backend::debug_snapshot() const {
   // Sequential lock acquisition: read the queue under io_mtx_, release, then
-  // let the base read the budget under its own mutex — never nested, so the
-  // snapshot cannot invert async_queue (600) against io_write_budget (580).
+  // read the budget under its own mutex — never nested, so the snapshot
+  // cannot invert async_queue (600) against io_write_budget (580).
   std::size_t depth = 0;
   bool stopping = false;
   {
@@ -142,7 +221,7 @@ std::string thread_pool_backend::debug_snapshot() const {
   return s;
 }
 
-void thread_pool_backend::io_loop() {
+void io_backend::io_loop() {
   for (;;) {
     request req;
     {
@@ -212,68 +291,13 @@ void thread_pool_backend::io_loop() {
   }
 }
 
-namespace {
-
-/// Selection key: the knobs whose change forces a backend rebuild.
-struct backend_key {
-  io_backend_kind kind = io_backend_kind::threads;
-  int io_threads = 0;
-  int queue_depth = 0;
-  bool sqpoll = false;
-
-  bool operator==(const backend_key& o) const {
-    return kind == o.kind && io_threads == o.io_threads &&
-           queue_depth == o.queue_depth && sqpoll == o.sqpoll;
-  }
-};
-
-backend_key current_key() {
-  const options& o = conf();
-  backend_key k;
-  k.kind = o.io_backend;
-  k.io_threads = o.io_threads;
-  k.queue_depth = o.uring_queue_depth;
-  k.sqpoll = o.uring_sqpoll;
-  return k;
-}
-
-/// Build the backend `key` asks for, falling back to the thread pool when
-/// uring cannot be brought up. The fallback is logged once per process for
-/// an explicit `uring` selection (the user asked for something the kernel
-/// cannot provide) and stays silent for `auto`.
-std::unique_ptr<io_backend> build_backend(const backend_key& key) {
-  if (key.kind == io_backend_kind::uring ||
-      key.kind == io_backend_kind::auto_detect) {
-    try {
-      return uring_backend::create(key.queue_depth, key.sqpoll);
-    } catch (const std::exception& e) {
-      if (key.kind == io_backend_kind::uring) {
-        static const bool warned = [&] {
-          FLASHR_WARN("io_backend=uring unavailable (%s); "
-                      "falling back to the thread pool",
-                      e.what());
-          return true;
-        }();
-        (void)warned;
-      } else {
-        FLASHR_DEBUG("io_backend=auto: uring unavailable (%s); "
-                     "using the thread pool",
-                     e.what());
-      }
-    }
-  }
-  return std::make_unique<thread_pool_backend>(key.io_threads);
-}
-
-}  // namespace
-
 io_backend& async_io::global() {
   static std::mutex mutex;
   static std::unique_ptr<io_backend> service;
-  static backend_key built_key;
+  static int built_threads = 0;
   std::lock_guard<std::mutex> lock(mutex);
-  const backend_key want = current_key();
-  if (service && !(built_key == want)) {
+  const int want = conf().io_threads;
+  if (service && built_threads != want) {
     // Rebuild safely: drain pending writes on the old service and surface
     // any deferred write error instead of silently dropping it with the
     // object. If drain throws, the service is already detached — the next
@@ -282,12 +306,10 @@ io_backend& async_io::global() {
     old->drain_writes();
   }
   if (!service) {
-    service = build_backend(want);
-    built_key = want;
+    service = std::make_unique<io_backend>(want);
+    built_threads = want;
   }
   return *service;
 }
-
-const char* async_io::active_backend() { return global().name(); }
 
 }  // namespace flashr

@@ -653,9 +653,8 @@ std::string incident_bundle_json(incident_kind kind, const char* detail,
 
   out += ",\"governor\":" + exec::resource_governor::global().health().to_json();
 
-  out += ",\"io_backend\":{\"name\":";
-  json_str(out, async_io::active_backend());
-  out += ",\"snapshot\":" + async_io::global().debug_snapshot() + "}";
+  out += ",\"io_backend\":{\"name\":\"threads\",\"snapshot\":" +
+         async_io::global().debug_snapshot() + "}";
 
   out += ",\"metrics\":" + metrics_registry::global().to_json();
 

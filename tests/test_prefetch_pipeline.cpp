@@ -1,7 +1,8 @@
 // Prefetch-pipeline tests: completion-order dispatch correctness, forced
 // sequential fallback for cumulative DAGs, clean cancellation with a window
-// of reads in flight, the bounded write-behind budget, and the per-pass
-// stats surfaced by exec::last_pass_stats().
+// of reads in flight, the bounded write-behind budget, the zero-copy
+// read->write alias path, and the per-pass stats surfaced by
+// exec::last_pass_stats().
 //
 // Latency injection (io/fault.h) is the lever that makes completion order
 // genuinely scramble: a deterministic subset of preads sleep, so later
@@ -11,6 +12,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cstring>
 #include <memory>
 
 #include "common/config.h"
@@ -21,6 +23,7 @@
 #include "io/safs.h"
 #include "matrix/em_store.h"
 #include "mem/buffer_pool.h"
+#include "obs/profile.h"
 
 namespace flashr {
 namespace {
@@ -319,6 +322,50 @@ TEST_F(PrefetchPipelineTest, PerNodeWindowsProduceExactResults) {
       ASSERT_NEAR(cum(i, j), run, 1e-9) << i << "," << j;
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Zero-copy alias lifetime: EM->EM identity conversion
+// ---------------------------------------------------------------------------
+
+TEST_F(PrefetchPipelineTest, ZeroCopyConversionAliasesReadBuffers) {
+  init_with(/*prefetch_depth=*/-1);
+  obs::set_profile_enabled(true);
+  obs::profile_clear();
+  dense_matrix x = make_em_input();
+  smat h = x.to_smat();
+
+  auto& pool = buffer_pool::global();
+  const std::size_t count0 = pool.outstanding_count();
+
+  // Identity conversion of an EM matrix back to EM: every partition must be
+  // written straight from the buffer its read landed in — no kernel, no
+  // staging copy.
+  dense_matrix y = conv_store(x, storage::ext_mem);
+  const exec::pass_stats stats = exec::last_pass_stats();
+  EXPECT_GT(stats.zero_copy_chunks, 0u);
+  EXPECT_EQ(stats.read_bytes, stats.write_bytes);
+
+  // The leases shared between the pipeline and the in-flight writes must
+  // all be home once the pass (which drains its writes) returned.
+  EXPECT_EQ(pool.outstanding_count(), count0);
+
+  smat got = y.to_smat();
+  for (std::size_t j = 0; j < kCols; ++j)
+    for (std::size_t i = 0; i < kN; ++i)
+      ASSERT_EQ(got(i, j), h(i, j)) << i << "," << j;
+
+  // Profile evidence: the cast node of the conversion pass spent no kernel
+  // and no copy time (the alias path records rows/chunks only).
+  bool saw_cast = false;
+  for (const obs::pass_profile& pp : obs::profile_history())
+    for (const obs::node_profile& np : pp.nodes)
+      if (std::strcmp(np.op, "cast") == 0 && np.chunks > 0 &&
+          np.kernel_ns == 0 && np.copy_ns == 0)
+        saw_cast = true;
+  EXPECT_TRUE(saw_cast);
+  obs::set_profile_enabled(false);
+  obs::profile_clear();
 }
 
 // ---------------------------------------------------------------------------
