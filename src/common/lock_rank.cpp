@@ -51,39 +51,47 @@ unsigned os_tid() noexcept {
   return static_cast<unsigned>(::syscall(SYS_gettid));
 }
 
-struct tls_slot {
-  rank_rec* rec = nullptr;
-  bool registered = false;
-  ~tls_slot() {
-    if (rec != nullptr && registered) {
-      rec->depth.store(0, std::memory_order_relaxed);
-      rec->tid.store(0, std::memory_order_release);  // slot becomes reusable
+/// This thread's record: a registry slot, or t_private. A trivially
+/// destructible thread_local, so it stays readable for the whole thread
+/// teardown, including the main thread's static destructors.
+thread_local rank_rec* t_rec = nullptr;
+/// Used when the registry is full, and after the slot is released.
+thread_local rank_rec t_private;
+
+/// Releases the registry slot at thread exit. Locks taken after this (in
+/// later thread_local destructors, or static destructors on the main
+/// thread) go to t_private: the slot may already belong to another thread.
+struct slot_release {
+  bool armed = false;
+  ~slot_release() {
+    if (t_rec != &t_private) {
+      t_rec->depth.store(0, std::memory_order_relaxed);
+      t_rec->tid.store(0, std::memory_order_release);  // slot reusable
     }
+    t_rec = &t_private;
   }
 };
-
-thread_local tls_slot t_slot;
+thread_local slot_release t_release;
 
 rank_rec& local_rec() noexcept {
-  if (t_slot.rec == nullptr) {
+  if (t_rec == nullptr) {
     const unsigned tid = os_tid();
     for (int i = 0; i < kMaxThreads; ++i) {
       unsigned expect = 0;
       if (g_recs[i].tid.compare_exchange_strong(expect, tid,
                                                 std::memory_order_acq_rel)) {
-        t_slot.rec = &g_recs[i];
-        t_slot.registered = true;
-        return *t_slot.rec;
+        t_rec = &g_recs[i];
+        t_release.armed = true;  // constructs it: runs at thread exit
+        return *t_rec;
       }
     }
     // Registry full (> kMaxThreads concurrent threads): rank checking still
     // works through a private record; the thread is just invisible to
     // cross-thread snapshots.
-    static thread_local rank_rec overflow;
-    overflow.tid.store(tid, std::memory_order_relaxed);
-    t_slot.rec = &overflow;
+    t_private.tid.store(tid, std::memory_order_relaxed);
+    t_rec = &t_private;
   }
-  return *t_slot.rec;
+  return *t_rec;
 }
 
 }  // namespace
@@ -130,8 +138,8 @@ void rank_note(const void* m, const lock_rank::rank_t& r) {
 }
 
 void rank_forget(const void* m) noexcept {
-  if (t_slot.rec == nullptr) return;  // nothing ever noted on this thread
-  rank_rec& rec = *t_slot.rec;
+  if (t_rec == nullptr) return;  // nothing ever noted on this thread
+  rank_rec& rec = *t_rec;
   const int depth = rec.depth.load(std::memory_order_relaxed);
   // Last occurrence, scanned from the top: unlocks are LIFO in practice,
   // and a mutex locked while the gate was off is simply absent (no-op).
@@ -149,8 +157,8 @@ void rank_forget(const void* m) noexcept {
 }
 
 int held_ranks(int* out, int max) noexcept {
-  if (t_slot.rec == nullptr) return 0;
-  rank_rec& rec = *t_slot.rec;
+  if (t_rec == nullptr) return 0;
+  rank_rec& rec = *t_rec;
   const int depth = rec.depth.load(std::memory_order_relaxed);
   const int n = depth < max ? depth : max;
   for (int i = 0; i < n; ++i)

@@ -1,6 +1,7 @@
 #include "core/exec.h"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cinttypes>
 #include <cstdio>
@@ -26,6 +27,7 @@
 #include "matrix/generated_store.h"
 #include "matrix/mem_store.h"
 #include "mem/numa.h"
+#include "obs/explain.h"
 #include "obs/incident.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -311,17 +313,55 @@ struct pass_config {
   long prefetch_depth = -1;
 };
 
-/// Per-materialize() resilience state, threaded through every pass of the
-/// call: the deadline/watchdog limits and the degradation record.
+/// Guards the published last_pass_stats() snapshot, the list of live calls,
+/// and the fields of a live call that active_passes_json() reads while the
+/// call runs (see pass_ctl).
+mutex g_stats_mutex LOCK_RANK(pass_stats);
+
+/// One materialize() call, threaded through every pass it runs: its limits
+/// and the one pass_stats record each pass adds into. It lives in
+/// materialize()'s frame and sits in g_active from registration until the
+/// call publishes its stats. The header fields are fixed before
+/// registration. Passes write `stats` on the calling thread; the fields
+/// active_passes_json() reads while the call runs (degrade_path,
+/// admission_waits) are written under g_stats_mutex.
 struct pass_ctl {
   std::uint64_t pass_id = 0;     ///< global materialize() sequence number
   std::uint64_t start_ns = 0;
   std::uint64_t deadline_ms = 0; ///< effective (opts override or conf)
   std::uint64_t deadline_ns = 0; ///< absolute now_ns() instant; 0 = none
   std::uint64_t stall_ms = 0;    ///< conf().watchdog_stall_ms
-  std::vector<std::string> degrade;  ///< ladder steps taken, in order
-  std::size_t admission_waits = 0;
-  std::uint64_t admission_wait_ns = 0;
+  exec_mode mode = exec_mode::cache_fuse;
+  pass_stats stats;
+  /// Prefetch-window occupancy samples of every pass so far;
+  /// stats.occupancy_x100 is their running mean.
+  std::uint64_t occupancy_sum = 0;
+  std::uint64_t pops = 0;
+  /// Profiling only: every store of the pending DAG mapped to its
+  /// obs::summarize() plan node (id, group, estimate). Result stores join
+  /// under their node's entry as passes assign them, so an eager follow-up
+  /// pass that reads a result as a leaf still attributes to the node the
+  /// plan named.
+  std::unordered_map<const matrix_store*, obs::node_profile> plan;
+
+  /// Give a result store its node's plan entry (no-op unless profiling).
+  void alias_plan(const matrix_store* result, const matrix_store* node) {
+    auto it = plan.find(node);
+    if (it == plan.end()) return;
+    const obs::node_profile n = it->second;
+    plan.emplace(result, n);
+  }
+
+  /// Record one degradation-ladder step.
+  void degrade(const std::string& step) {
+    {
+      mutex_lock lock(g_stats_mutex);
+      if (!stats.degrade_path.empty()) stats.degrade_path += ',';
+      stats.degrade_path += step;
+      ++stats.degrade_steps;
+    }
+    resource_governor::global().count_degrade_step();
+  }
 };
 
 /// Ids for error payloads and /passes correlation.
@@ -348,7 +388,7 @@ struct chunk_buf {
 
 class pass_runner {
  public:
-  pass_runner(dag_info& dag, pass_config cfg, pass_ctl* ctl = nullptr)
+  pass_runner(dag_info& dag, pass_config cfg, pass_ctl& ctl)
       : dag_(dag), cfg_(cfg), ctl_(ctl) {
     allocate_outputs();
     init_cum_chains();
@@ -377,6 +417,9 @@ class pass_runner {
     /// merged lock-free into prof_acc_ when the worker exits. Empty unless
     /// profiling is on.
     std::vector<std::uint64_t> prof;
+    /// Chunk evaluations this worker satisfied by aliasing; folded into the
+    /// call's stats when the worker exits.
+    std::size_t zero_copy = 0;
     /// Per-cum-node running carry for the current partition.
     std::unordered_map<const virtual_store*, std::vector<char>> cum_carry;
     bool cum_has_carry = false;
@@ -429,9 +472,16 @@ class pass_runner {
   /// Field layout of one profiling slot's accumulators.
   enum prof_field { pf_kernel = 0, pf_copy, pf_io, pf_parts, pf_rows,
                     pf_bytes, pf_chunks, kProfFields };
-  /// Resolve the pass's profiling slots: dense dag ids first, then one slot
-  /// per sink (sink targets have no dense id — nothing consumes them).
+  /// Resolve the pass's profiling slots against the call's plan map: dense
+  /// dag ids first, then one slot per sink (sink targets have no dense id —
+  /// nothing consumes them).
   void prof_init();
+  /// Plan id of `s` for sampler attribution; -1 (no node) when profiling
+  /// is off, without the id lookup.
+  int prof_id(const matrix_store* s) const {
+    return prof_ ? prof_nodes_[static_cast<std::size_t>(dag_.id_of(s))].id
+                 : -1;
+  }
   /// Per-pass wrap-up: fold prof_acc_ into a pass_profile and push it into
   /// the history ring. Success path only.
   void record_profile();
@@ -449,9 +499,9 @@ class pass_runner {
 
   dag_info& dag_;
   pass_config cfg_;
-  /// Resilience state of the enclosing materialize(); null in tests that
-  /// drive passes directly. Read-only here except for profile recording.
-  pass_ctl* ctl_ = nullptr;
+  /// The enclosing materialize() call: its limits, and the stats record
+  /// this pass adds into once its workers have joined.
+  pass_ctl& ctl_;
   std::atomic<bool> cancel_{false};
   mutex error_mutex_ LOCK_RANK(pass_error);
   std::exception_ptr pass_error_ GUARDED_BY(error_mutex_);
@@ -477,16 +527,13 @@ class pass_runner {
   /// Pool buffers outstanding after output allocation; the post-pass audit
   /// (validate::audit_pool) asserts the pass returned to this baseline.
   std::size_t pool_baseline_count_ = 0;
-  /// Profiling state, armed at construction when obs::profile_on(). The
-  /// per-slot metadata vectors are read-only during the pass; prof_acc_ is
-  /// the lock-free merge target workers fetch_add into as they finish.
+  /// Profiling state, armed at construction when obs::profile_on().
+  /// prof_nodes_ holds each slot's identity (plan id, label, group,
+  /// estimate) and is read-only during the pass; prof_acc_ is the lock-free
+  /// merge target workers fetch_add into as they finish.
   bool prof_ = false;
   std::size_t prof_slots_ = 0;
-  std::vector<int> prof_plan_id_;
-  std::vector<obs::plan_node_meta> prof_meta_;
-  std::vector<const char*> prof_label_;
-  std::vector<std::uint8_t> prof_sink_;
-  std::vector<std::uint8_t> prof_leaf_;
+  std::vector<obs::node_profile> prof_nodes_;
   std::vector<std::atomic<std::uint64_t>> prof_acc_;
   std::uint64_t prof_t0_ = 0;
   /// Sampling-profiler pass token (obs/sampler.h); 0 when the sampler was
@@ -503,76 +550,43 @@ class pass_runner {
   std::vector<std::unique_ptr<prefetch_pipeline>> pipelines_;
 };
 
-/// Accumulates pipeline/pass counters across the passes of one
-/// materialize() call (eager mode runs several). Written between passes on
-/// the driver thread only (materialize() itself is single-entry per engine).
-struct pass_stats_acc {
-  std::size_t passes = 0;
-  std::size_t sequential_passes = 0;
-  std::uint64_t read_wait_ns = 0;
-  std::uint64_t occupancy_sum = 0;
-  std::uint64_t pops = 0;
-  std::size_t reads_issued = 0;
-};
-pass_stats_acc g_stats_acc;
-/// Lifetime count of zero-copy chunk evaluations. Written by workers
-/// (relaxed), bracketed by materialize() like io_stats so last_pass_stats()
-/// reports only the current call's share.
-std::atomic<std::uint64_t> g_zero_copy_total{0};
-/// Snapshot published by the last materialize(); guarded so a monitoring
-/// thread (or an obs probe) can read it concurrently with a running pass.
-mutex g_stats_mutex LOCK_RANK(pass_stats);
+/// Snapshot published by the last materialize() to finish; read under
+/// g_stats_mutex so a monitoring thread (or an obs probe) can read it
+/// concurrently with a running pass.
 pass_stats g_last_stats GUARDED_BY(g_stats_mutex);
+/// Live materialize() calls (incident bundles, /debug/stacks): the running
+/// one plus any queued for admission.
+std::vector<const pass_ctl*> g_active GUARDED_BY(g_stats_mutex);
 
-/// Live materializations (incident bundles, /debug/stacks). The table owns
-/// COPIES of the interesting pass_ctl fields, updated at registration and
-/// at every degrade step, so readers never touch a running pass's own state.
-struct active_pass {
-  std::uint64_t pass_id = 0;
-  std::uint64_t start_ns = 0;
-  std::uint64_t deadline_ms = 0;
-  exec_mode mode = exec_mode::cache_fuse;
-  std::string degrade;  ///< comma-joined ladder steps so far
-  std::size_t admission_waits = 0;
+/// Adds the movement of the process-wide I/O counters over its lifetime
+/// into a call's stats. The governor runs one pass at a time, so a bracket
+/// from admission through the pass's final drain_writes() sees that pass's
+/// I/O alone.
+class io_bracket {
+ public:
+  explicit io_bracket(pass_stats& s) : s_(s), aio_(async_io::global()) {
+    aio_.reset_throttle_hwm();
+    th0_ = aio_.throttle_stats();
+  }
+  ~io_bracket() {
+    const io_backend::write_throttle_stats th1 = aio_.throttle_stats();
+    s_.read_bytes += ios_.read_bytes.load(std::memory_order_relaxed) - rb0_;
+    s_.write_bytes += ios_.write_bytes.load(std::memory_order_relaxed) - wb0_;
+    s_.write_throttle_stalls += th1.stalls - th0_.stalls;
+    s_.write_throttle_ns += th1.stall_ns - th0_.stall_ns;
+    s_.write_inflight_hwm = std::max(s_.write_inflight_hwm, th1.hwm_bytes);
+  }
+  io_bracket(const io_bracket&) = delete;
+  io_bracket& operator=(const io_bracket&) = delete;
+
+ private:
+  pass_stats& s_;
+  io_backend& aio_;
+  io_stats& ios_ = io_stats::global();
+  const std::uint64_t rb0_ = ios_.read_bytes.load(std::memory_order_relaxed);
+  const std::uint64_t wb0_ = ios_.write_bytes.load(std::memory_order_relaxed);
+  io_backend::write_throttle_stats th0_;
 };
-std::vector<active_pass> g_active GUARDED_BY(g_stats_mutex);
-
-void active_pass_register(std::uint64_t pass_id, std::uint64_t start_ns,
-                          std::uint64_t deadline_ms) {
-  active_pass p;
-  p.pass_id = pass_id;
-  p.start_ns = start_ns;
-  p.deadline_ms = deadline_ms;
-  p.mode = conf().mode;
-  mutex_lock lock(g_stats_mutex);
-  g_active.push_back(std::move(p));
-}
-
-void active_pass_degrade(std::uint64_t pass_id, const std::string& step) {
-  mutex_lock lock(g_stats_mutex);
-  for (active_pass& p : g_active) {
-    if (p.pass_id != pass_id) continue;
-    if (!p.degrade.empty()) p.degrade += ',';
-    p.degrade += step;
-    return;
-  }
-}
-
-void active_pass_note_wait(std::uint64_t pass_id) {
-  mutex_lock lock(g_stats_mutex);
-  for (active_pass& p : g_active)
-    if (p.pass_id == pass_id) ++p.admission_waits;
-}
-
-void active_pass_unregister(std::uint64_t pass_id) {
-  mutex_lock lock(g_stats_mutex);
-  for (auto it = g_active.begin(); it != g_active.end(); ++it) {
-    if (it->pass_id == pass_id) {
-      g_active.erase(it);
-      return;
-    }
-  }
-}
 
 /// Per-GenOp-kind kernel-time histograms, resolved once so the hot path
 /// costs an array index instead of a registry lookup.
@@ -600,13 +614,6 @@ obs::counter& zero_copy_counter() {
   static obs::counter& c =
       obs::metrics_registry::global().get_counter("exec.zero_copy_chunks");
   return c;
-}
-
-/// One zero-copy chunk evaluation happened (an alias replaced a kernel or a
-/// staging copy).
-void count_zero_copy() {
-  g_zero_copy_total.fetch_add(1, std::memory_order_relaxed);
-  if (obs::metrics_on()) zero_copy_counter().add();
 }
 
 /// Expose every pass_stats field through the metrics registry as probes:
@@ -703,39 +710,39 @@ void pass_runner::prof_init() {
   prof_ = obs::profile_on();
   if (!prof_) return;
   prof_slots_ = static_cast<std::size_t>(dag_.num_ids) + sinks_.size();
-  prof_plan_id_.assign(prof_slots_, -1);
-  prof_meta_.assign(prof_slots_, {});
-  prof_label_.assign(prof_slots_, "?");
-  prof_sink_.assign(prof_slots_, 0);
-  prof_leaf_.assign(prof_slots_, 0);
+  prof_nodes_.assign(prof_slots_, {});
+  // Plan identity (id, group, estimate) from the call's plan map; -1 ids
+  // for stores the plan does not name.
+  auto identify = [this](std::size_t slot, const matrix_store* s) {
+    if (auto it = ctl_.plan.find(s); it != ctl_.plan.end())
+      prof_nodes_[slot] = it->second;
+  };
   for (const auto& [node, id] : dag_.ids) {
     const auto slot = static_cast<std::size_t>(id);
-    prof_plan_id_[slot] = obs::profile_node_id(node, &prof_meta_[slot]);
+    identify(slot, node);
+    obs::node_profile& n = prof_nodes_[slot];
+    n.leaf = node->kind() != store_kind::virt;
     switch (node->kind()) {
       case store_kind::virt:
-        prof_label_[slot] = node_kind_name(
+        n.op = node_kind_name(
             static_cast<const virtual_store*>(node)->op().kind);
         break;
       case store_kind::mem:
-        prof_label_[slot] = "mem";
-        prof_leaf_[slot] = 1;
+        n.op = "mem";
         break;
       case store_kind::ext:
-        prof_label_[slot] = "em";
-        prof_leaf_[slot] = 1;
+        n.op = "em";
         break;
       case store_kind::generated:
-        prof_label_[slot] = "generated";
-        prof_leaf_[slot] = 1;
+        n.op = "generated";
         break;
     }
   }
   for (std::size_t s = 0; s < sinks_.size(); ++s) {
     const std::size_t slot = static_cast<std::size_t>(dag_.num_ids) + s;
-    prof_plan_id_[slot] =
-        obs::profile_node_id(sinks_[s].node, &prof_meta_[slot]);
-    prof_label_[slot] = node_kind_name(sinks_[s].node->op().kind);
-    prof_sink_[slot] = 1;
+    identify(slot, sinks_[s].node);
+    prof_nodes_[slot].op = node_kind_name(sinks_[s].node->op().kind);
+    prof_nodes_[slot].sink = true;
   }
   prof_acc_ =
       std::vector<std::atomic<std::uint64_t>>(prof_slots_ * kProfFields);
@@ -749,16 +756,15 @@ void pass_runner::record_profile() {
   p.wall_ns = now_ns() - prof_t0_;
   // Ladder steps of the whole materialize() so far: a degraded eager pass
   // shows the mode fallback that created it, not just its own rungs.
-  if (ctl_ != nullptr) p.degrade = ctl_->degrade;
+  const std::string& path = ctl_.stats.degrade_path;
+  for (std::size_t b = 0; b < path.size();) {
+    const std::size_t e = std::min(path.find(',', b), path.size());
+    p.degrade.push_back(path.substr(b, e - b));
+    b = e + 1;
+  }
   p.nodes.reserve(prof_slots_);
   for (std::size_t slot = 0; slot < prof_slots_; ++slot) {
-    obs::node_profile n;
-    n.id = prof_plan_id_[slot];
-    n.op = prof_label_[slot];
-    n.sink = prof_sink_[slot] != 0;
-    n.leaf = prof_leaf_[slot] != 0;
-    n.group = prof_meta_[slot].group;
-    n.est_bytes = prof_meta_[slot].est_bytes;
+    obs::node_profile n = prof_nodes_[slot];
     const std::atomic<std::uint64_t>* a = &prof_acc_[slot * kProfFields];
     n.kernel_ns = a[pf_kernel].load(std::memory_order_relaxed);
     n.copy_ns = a[pf_copy].load(std::memory_order_relaxed);
@@ -852,11 +858,13 @@ void pass_runner::teardown_pipelines() noexcept {
     if (!pl) continue;
     pl->settle();
     const prefetch_pipeline::stats s = pl->pipeline_stats();
-    g_stats_acc.read_wait_ns += s.read_wait_ns;
-    g_stats_acc.occupancy_sum += s.occupancy_sum;
-    g_stats_acc.pops += s.pops;
-    g_stats_acc.reads_issued += s.reads_issued;
+    ctl_.stats.read_wait_ns += s.read_wait_ns;
+    ctl_.stats.reads_issued += s.reads_issued;
+    ctl_.occupancy_sum += s.occupancy_sum;
+    ctl_.pops += s.pops;
   }
+  if (ctl_.pops != 0)
+    ctl_.stats.occupancy_x100 = ctl_.occupancy_sum * 100 / ctl_.pops;
   // Destruction releases completed-but-unclaimed window buffers; with all
   // reads settled nothing can still write into them.
   pipelines_.clear();
@@ -915,10 +923,13 @@ void pass_runner::run() {
   if (prof_) prof_t0_ = now_ns();
   if (prof_ && obs::sampler_on()) samp_pass_ = obs::sampler_new_pass();
   thread_pool& pool = thread_pool::global();
+  // Every exit path from here, the cancelled one included, adds this
+  // pass's I/O into the call's stats.
+  const io_bracket io(ctl_.stats);
   build_pipelines();
-  ++g_stats_acc.passes;
+  ++ctl_.stats.passes;
   if (pipelines_.size() == 1 && pipelines_[0]->sequential())
-    ++g_stats_acc.sequential_passes;
+    ++ctl_.stats.sequential_passes;
 
   // Supervise the pass: pipelines_ is read-only from here until teardown,
   // so the watchdog's probe can walk it lock-free; fail() is the same
@@ -926,25 +937,21 @@ void pass_runner::run() {
   // audits exactly like an I/O failure. The watch ends before
   // teardown_pipelines() — settle() must wait out an injected stall anyway
   // (zero-leak: the read still owns its buffer until the completion lands).
-  std::uint64_t wtoken = 0;
-  if (ctl_ != nullptr) {
-    const std::uint64_t stall_ns = ctl_->stall_ms * 1000000ull;
-    wtoken = pass_watchdog::global().watch(
-        ctl_->pass_id, ctl_->deadline_ns, ctl_->deadline_ms, stall_ns,
-        ctl_->stall_ms,
-        [this] {
-          pass_watchdog::io_progress p;
-          for (const auto& pl : pipelines_) {
-            if (!pl) continue;
-            const prefetch_pipeline::io_progress q = pl->progress();
-            p.inflight += q.inflight_reads;
-            p.last_completion_ns =
-                std::max(p.last_completion_ns, q.last_completion_ns);
-          }
-          return p;
-        },
-        [this](std::exception_ptr e) { fail(e); });
-  }
+  const std::uint64_t wtoken = pass_watchdog::global().watch(
+      ctl_.pass_id, ctl_.deadline_ns, ctl_.deadline_ms,
+      ctl_.stall_ms * 1000000ull, ctl_.stall_ms,
+      [this] {
+        pass_watchdog::io_progress p;
+        for (const auto& pl : pipelines_) {
+          if (!pl) continue;
+          const prefetch_pipeline::io_progress q = pl->progress();
+          p.inflight += q.inflight_reads;
+          p.last_completion_ns =
+              std::max(p.last_completion_ns, q.last_completion_ns);
+        }
+        return p;
+      },
+      [this](std::exception_ptr e) { fail(e); });
 
   pool.run_all([&](int thread_idx) {
     // Samples taken anywhere in this worker's pass carry the pass token.
@@ -975,6 +982,13 @@ void pass_runner::run() {
       for (std::size_t i = 0; i < ctx.prof.size(); ++i)
         if (ctx.prof[i] != 0)
           prof_acc_[i].fetch_add(ctx.prof[i], std::memory_order_relaxed);
+    // Likewise the zero-copy count: the calling thread reads it after the
+    // join.
+    if (ctx.zero_copy != 0) {
+      std::atomic_ref<std::size_t>(ctl_.stats.zero_copy_chunks)
+          .fetch_add(ctx.zero_copy, std::memory_order_relaxed);
+      if (obs::metrics_on()) zero_copy_counter().add(ctx.zero_copy);
+    }
     // ctx destruction returns every worker-held pool buffer (chunk bufs,
     // EM read buffers, staged outputs) whether the pass succeeded or not.
     // Sink partials were already submitted per partition; whatever is left
@@ -1017,12 +1031,11 @@ void pass_runner::run() {
   validate::audit_pool(buffer_pool::global(), pool_baseline_count_);
 
   // Assign tall output stores to their nodes. Alias each result to its
-  // node's plan id so eager-mode follow-up passes (which see the result as
-  // a leaf) keep attributing costs to the original node.
+  // node's plan entry so eager-mode follow-up passes (which see the result
+  // as a leaf) keep attributing costs to the original node.
   for (std::size_t i = 0; i < dag_.tall_outputs.size(); ++i) {
     dag_.tall_outputs[i]->set_result(out_stores_[i]);
-    if (prof_)
-      obs::profile_alias(out_stores_[i].get(), dag_.tall_outputs[i]);
+    ctl_.alias_plan(out_stores_[i].get(), dag_.tall_outputs[i]);
   }
   merge_sinks();
   if (prof_) record_profile();
@@ -1090,7 +1103,7 @@ void pass_runner::process_partition(thread_ctx& ctx) {
     auto* em = static_cast<em_store*>(out_stores_[i].get());
     if (ctx.zc_out[i] != nullptr) {
       em->write_part_async(ctx.part, ctx.em_leases[ctx.zc_out[i]]);
-      count_zero_copy();
+      ++ctx.zero_copy;
     } else {
       auto it = ctx.out_stage.find(v);
       em->write_part_async(ctx.part, std::move(it->second));
@@ -1174,9 +1187,7 @@ chunk_buf& pass_runner::ensure(thread_ctx& ctx,
       cb.owned = buffer_pool::global().get(ctx.chunk_rows * g->ncol() *
                                            g->elem_size());
       ++ctx.live_owned;
-      obs::sample_node_scope sample_scope(
-          prof_ ? prof_plan_id_[static_cast<std::size_t>(dag_.id_of(key))]
-                : -1);
+      obs::sample_node_scope sample_scope(prof_id(key));
       const std::uint64_t g0 = prof_ ? now_ns() : 0;
       g->generate(ctx.part_row0 + ctx.chunk_row0, ctx.chunk_rows,
                   cb.owned.data(), ctx.chunk_rows);
@@ -1234,7 +1245,7 @@ void pass_runner::eval_virtual(thread_ctx& ctx, virtual_store* v,
         (c0->kind() == store_kind::mem || c0->kind() == store_kind::ext)) {
       out.v = ensure(ctx, ch[0]).v;
       unref(ctx, ch[0]);
-      count_zero_copy();
+      ++ctx.zero_copy;
       if (prof_) {
         const int slot = dag_.id_of(v);
         prof_add(ctx, slot, pf_rows, rows);
@@ -1255,8 +1266,7 @@ void pass_runner::eval_virtual(thread_ctx& ctx, virtual_store* v,
   obs::span kernel_span(node_kind_name(op.kind), rows);
   // Samples landing in the kernel (or its allocation) attribute to this
   // node's plan id; nested ensure() calls already closed their own scopes.
-  obs::sample_node_scope sample_scope(
-      prof_ ? prof_plan_id_[static_cast<std::size_t>(dag_.id_of(v))] : -1);
+  obs::sample_node_scope sample_scope(prof_id(v));
   const std::uint64_t k0 = (obs::metrics_on() || prof_) ? now_ns() : 0;
 
   out.owned = buffer_pool::global().get(rows * cols * v->elem_size());
@@ -1353,8 +1363,7 @@ void pass_runner::process_chunk(thread_ctx& ctx) {
   // Tall outputs: evaluate and copy the chunk into the partition store.
   for (std::size_t i = 0; i < dag_.tall_outputs.size(); ++i) {
     virtual_store* v = dag_.tall_outputs[i];
-    obs::sample_node_scope sample_scope(
-        prof_ ? prof_plan_id_[static_cast<std::size_t>(dag_.id_of(v))] : -1);
+    obs::sample_node_scope sample_scope(prof_id(v));
     chunk_buf& cb = ensure(ctx, v->shared_from_this());
     const std::size_t esz = v->elem_size();
     const bool ext = out_stores_[i]->kind() == store_kind::ext;
@@ -1385,7 +1394,7 @@ void pass_runner::process_chunk(thread_ctx& ctx) {
     // The sink's accumulate kernel samples attribute to the sink slot;
     // child evaluation inside ensure() re-scopes to the child's node.
     obs::sample_node_scope sample_scope(
-        prof_ ? prof_plan_id_[static_cast<std::size_t>(dag_.num_ids) + s]
+        prof_ ? prof_nodes_[static_cast<std::size_t>(dag_.num_ids) + s].id
               : -1);
     virtual_store* v = sinks_[s].node;
     const genop& op = v->op();
@@ -1498,7 +1507,7 @@ void pass_runner::merge_sinks() {
     kern::copy(d.out_type, kern::view{total.data(), d.out_rows}, d.out_rows,
                d.out_cols, out->part_data(0), out->part_stride(0));
     d.node->set_result(out);
-    if (prof_) obs::profile_alias(out.get(), d.node);
+    ctl_.alias_plan(out.get(), d.node);
   }
 }
 
@@ -1577,23 +1586,15 @@ struct degraded_scope {
 /// Admit one pass, walking the degradation ladder until its footprint fits
 /// the budgets: halve the prefetch window (…→1→0, each rung strictly
 /// smaller), then shrink the Pcache chunk (converting a whole-partition
-/// pass to chunked evaluation first). Fits-but-contended footprints queue
-/// (bounded by the deadline) or fail fast per conf(). Every step lands in
-/// ctl->degrade and the governor metrics. Returns with the reservation
-/// held and cfg updated; throws typed overload/timeout errors.
+/// pass to chunked evaluation first). A pass that fits but finds another
+/// pass running queues (bounded by the deadline) or fails fast per conf().
+/// Every step lands in ctl.stats and the governor metrics. Returns with the
+/// reservation held and cfg updated; throws typed overload/timeout errors.
 resource_governor::reservation admit_with_degradation(const dag_info& dag,
                                                       pass_config& cfg,
-                                                      pass_ctl* ctl) {
+                                                      pass_ctl& ctl) {
   auto& gov = resource_governor::global();
-  const std::uint64_t pass_id = ctl != nullptr ? ctl->pass_id : 0;
   long depth = default_prefetch_depth();
-  auto record_step = [&](std::string step) {
-    if (ctl != nullptr) {
-      active_pass_degrade(ctl->pass_id, step);
-      ctl->degrade.push_back(std::move(step));
-    }
-    gov.count_degrade_step();
-  };
   for (;;) {
     const resource_governor::footprint fp =
         estimate_footprint(dag, depth, cfg.chunk_rows, cfg.st);
@@ -1607,33 +1608,31 @@ resource_governor::reservation admit_with_degradation(const dag_info& dag,
       if (conf().governor_fail_fast) {
         gov.count_reject();
         obs::incident_request(obs::incident_kind::governor_overload,
-                              "budget held by other passes (fail-fast)");
+                              "another pass is running (fail-fast)");
         throw overload_error(
-            "resource budget held by other passes (fail-fast)", pass_id,
-            fp.bytes, conf().mem_budget_bytes);
+            "another pass is running (fail-fast)", ctl.pass_id, fp.bytes,
+            conf().mem_budget_bytes);
       }
       const std::uint64_t t0 = now_ns();
-      // Mark the wait BEFORE blocking: an incident bundle cut while this
-      // pass queues for budget should say so.
-      if (ctl != nullptr) active_pass_note_wait(ctl->pass_id);
-      res = gov.admit(pass_id, fp,
-                      ctl != nullptr ? ctl->deadline_ns : 0,
-                      ctl != nullptr ? ctl->deadline_ms : 0);
-      if (ctl != nullptr) {
-        ++ctl->admission_waits;
-        ctl->admission_wait_ns += now_ns() - t0;
+      // Count the wait BEFORE blocking: an incident bundle cut while this
+      // pass queues should say so.
+      {
+        mutex_lock lock(g_stats_mutex);
+        ++ctl.stats.admission_waits;
       }
+      res = gov.admit(ctl.pass_id, fp, ctl.deadline_ns, ctl.deadline_ms);
+      ctl.stats.admission_wait_ns += now_ns() - t0;
       cfg.prefetch_depth = depth;
       return res;
     }
     // too_large: degrade. Depth first (read-ahead is pure overhead), then
     // chunking (trades kernel efficiency, never results).
     if (depth > 1) {
-      record_step("depth:" + std::to_string(depth) + "->" +
+      ctl.degrade("depth:" + std::to_string(depth) + "->" +
                   std::to_string(depth / 2));
       depth /= 2;
     } else if (depth == 1) {
-      record_step("depth:1->0");
+      ctl.degrade("depth:1->0");
       depth = 0;
     } else if (cfg.chunk_rows == 0 && dag.space.part_rows > 16) {
       // Whole-partition evaluation -> Pcache chunking. Start from the
@@ -1648,12 +1647,12 @@ resource_governor::reservation admit_with_degradation(const dag_info& dag,
             "footprint exceeds the memory budget even fully degraded");
         throw overload_error(
             "pass footprint exceeds the memory budget even fully degraded",
-            pass_id, fp.bytes, conf().mem_budget_bytes);
+            ctl.pass_id, fp.bytes, conf().mem_budget_bytes);
       }
-      record_step("chunk:0->" + std::to_string(c));
+      ctl.degrade("chunk:0->" + std::to_string(c));
       cfg.chunk_rows = c;
     } else if (cfg.chunk_rows > 16) {
-      record_step("chunk:" + std::to_string(cfg.chunk_rows) + "->" +
+      ctl.degrade("chunk:" + std::to_string(cfg.chunk_rows) + "->" +
                   std::to_string(cfg.chunk_rows / 2));
       cfg.chunk_rows /= 2;
     } else {
@@ -1665,7 +1664,7 @@ resource_governor::reservation admit_with_degradation(const dag_info& dag,
           "footprint exceeds the resource budget even fully degraded");
       throw overload_error(
           "pass footprint exceeds the resource budget even fully degraded",
-          pass_id, mem_exceeded ? fp.bytes : fp.inflight_io,
+          ctl.pass_id, mem_exceeded ? fp.bytes : fp.inflight_io,
           mem_exceeded ? conf().mem_budget_bytes : conf().max_inflight_io);
     }
   }
@@ -1675,16 +1674,15 @@ resource_governor::reservation admit_with_degradation(const dag_info& dag,
 // Mode selection
 // ---------------------------------------------------------------------------
 
-void run_fused(dag_info& dag, storage st, bool cache_fuse, pass_ctl* ctl) {
+void run_fused(dag_info& dag, storage st, bool cache_fuse, pass_ctl& ctl) {
   if (dag.order.empty()) return;
   pass_config cfg;
   cfg.st = st;
   cfg.chunk_rows = cache_fuse ? chunk_rows_for(dag) : 0;
-  const std::size_t steps_before = ctl != nullptr ? ctl->degrade.size() : 0;
+  const std::size_t steps_before = ctl.stats.degrade_steps;
   resource_governor::reservation res =
       admit_with_degradation(dag, cfg, ctl);
-  degraded_scope degraded(ctl != nullptr &&
-                          ctl->degrade.size() > steps_before);
+  degraded_scope degraded(ctl.stats.degrade_steps > steps_before);
   pass_runner runner(dag, cfg, ctl);
   runner.run();
 }
@@ -1695,7 +1693,7 @@ void run_fused(dag_info& dag, storage st, bool cache_fuse, pass_ctl* ctl) {
 /// the main bottleneck"); only requested targets honour the caller's
 /// storage. Sinks always land in memory regardless.
 void run_eager(dag_info& dag, storage st,
-               const std::vector<matrix_store::ptr>& targets, pass_ctl* ctl) {
+               const std::vector<matrix_store::ptr>& targets, pass_ctl& ctl) {
   const storage intermediate_st =
       dag.em_leaves.empty() ? st : storage::ext_mem;
   std::unordered_set<const matrix_store*> requested;
@@ -1747,20 +1745,19 @@ std::string active_passes_json() {
   const std::uint64_t now = now_ns();
   mutex_lock lock(g_stats_mutex);
   std::string out = "[";
-  bool first = true;
-  for (const active_pass& p : g_active) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"pass_id\":" + std::to_string(p.pass_id);
-    out += ",\"start_ns\":" + std::to_string(p.start_ns);
+  for (const pass_ctl* p : g_active) {
+    if (out.size() > 1) out += ',';
+    out += "{\"pass_id\":" + std::to_string(p->pass_id);
+    out += ",\"start_ns\":" + std::to_string(p->start_ns);
     out += ",\"elapsed_ns\":" +
-           std::to_string(now > p.start_ns ? now - p.start_ns : 0);
-    out += ",\"deadline_ms\":" + std::to_string(p.deadline_ms);
+           std::to_string(now > p->start_ns ? now - p->start_ns : 0);
+    out += ",\"deadline_ms\":" + std::to_string(p->deadline_ms);
     out += ",\"mode\":\"";
-    out += exec_mode_name(p.mode);
+    out += exec_mode_name(p->mode);
     out += "\",\"degrade\":\"";
-    out += p.degrade;  // ladder steps: [a-z0-9:>,-], no escaping needed
-    out += "\",\"admission_waits\":" + std::to_string(p.admission_waits);
+    out += p->stats.degrade_path;  // [a-z0-9:>,-], no escaping needed
+    out += "\",\"admission_waits\":" +
+           std::to_string(p->stats.admission_waits);
     out += "}";
   }
   out += "]";
@@ -1787,14 +1784,6 @@ void materialize(const std::vector<matrix_store::ptr>& targets, storage st,
   // previous stats: callers commonly read results back (to_smat and friends
   // re-enter materialize) before inspecting last_pass_stats().
   if (dag.order.empty()) return;
-  // Arm the per-node profiler: map every store of the pending DAG to the
-  // deterministic DFS plan id explain() would assign it.
-  if (obs::profile_on()) obs::profile_begin(targets);
-  g_stats_acc = {};
-  {
-    mutex_lock lock(g_stats_mutex);
-    g_last_stats = {};
-  }
 
   // Per-call resilience limits: the deadline (opts override, else conf) is
   // one absolute instant covering every pass of this call, admission waits
@@ -1807,72 +1796,44 @@ void materialize(const std::vector<matrix_store::ptr>& targets, storage st,
   ctl.deadline_ns =
       ctl.deadline_ms != 0 ? ctl.start_ns + ctl.deadline_ms * 1000000ull : 0;
   ctl.stall_ms = conf().watchdog_stall_ms;
-  active_pass_register(ctl.pass_id, ctl.start_ns, ctl.deadline_ms);
-
-  // Bracket the passes with global-counter snapshots so last_pass_stats()
-  // reports this materialization's I/O only. Runs even when a pass throws:
-  // a cancelled pass's partial stats are still meaningful to callers.
-  auto& ios = io_stats::global();
-  auto& aio = async_io::global();
-  const std::uint64_t rb0 = ios.read_bytes.load(std::memory_order_relaxed);
-  const std::uint64_t wb0 = ios.write_bytes.load(std::memory_order_relaxed);
-  aio.reset_throttle_hwm();
-  const auto th0 = aio.throttle_stats();
-  const std::uint64_t zc0 = g_zero_copy_total.load(std::memory_order_relaxed);
-  struct stats_finalizer {
-    io_stats& ios;
-    io_backend& aio;
-    std::uint64_t rb0, wb0, zc0;
-    io_backend::write_throttle_stats th0;
-    const pass_ctl& ctl;
-    ~stats_finalizer() {
-      // Build the snapshot off-lock, publish it in one assignment so a
-      // concurrent last_pass_stats() never sees a half-written struct.
-      pass_stats s;
-      s.passes = g_stats_acc.passes;
-      s.sequential_passes = g_stats_acc.sequential_passes;
-      s.read_bytes = ios.read_bytes.load(std::memory_order_relaxed) - rb0;
-      s.write_bytes = ios.write_bytes.load(std::memory_order_relaxed) - wb0;
-      s.read_wait_ns = g_stats_acc.read_wait_ns;
-      s.reads_issued = g_stats_acc.reads_issued;
-      s.occupancy_x100 =
-          g_stats_acc.pops == 0
-              ? 0
-              : g_stats_acc.occupancy_sum * 100 / g_stats_acc.pops;
-      const auto th1 = aio.throttle_stats();
-      s.write_throttle_stalls = th1.stalls - th0.stalls;
-      s.write_throttle_ns = th1.stall_ns - th0.stall_ns;
-      s.write_inflight_hwm = th1.hwm_bytes;
-      s.zero_copy_chunks = static_cast<std::size_t>(
-          g_zero_copy_total.load(std::memory_order_relaxed) - zc0);
-      s.degrade_steps = ctl.degrade.size();
-      for (const std::string& step : ctl.degrade) {
-        if (!s.degrade_path.empty()) s.degrade_path += ",";
-        s.degrade_path += step;
-      }
-      s.admission_waits = ctl.admission_waits;
-      s.admission_wait_ns = ctl.admission_wait_ns;
-      mutex_lock lock(g_stats_mutex);
-      g_last_stats = s;
-      // This materialization is over (normally or by exception): drop its
-      // active-pass entry under the same lock that published its stats.
-      for (auto it = g_active.begin(); it != g_active.end(); ++it) {
-        if (it->pass_id == ctl.pass_id) {
-          g_active.erase(it);
-          break;
-        }
-      }
+  ctl.mode = conf().mode;
+  // Profiling: map every store of the pending DAG to the deterministic DFS
+  // plan id explain() would assign it.
+  if (obs::profile_on()) {
+    for (const obs::plan_node& n : obs::summarize(targets).nodes) {
+      obs::node_profile& e = ctl.plan[n.store];
+      e.id = n.id;
+      e.group = n.group;
+      e.est_bytes = n.est_bytes;
     }
-  } finalize{ios, aio, rb0, wb0, zc0, th0, ctl};
+  }
 
-  switch (conf().mode) {
+  // Listed from here until the call ends, normally or by exception; the
+  // end publishes the call's stats (partial ones too: a cancelled pass's
+  // counters still mean something to callers) under the same lock.
+  struct publisher {
+    const pass_ctl& ctl;
+    explicit publisher(const pass_ctl& c) : ctl(c) {
+      mutex_lock lock(g_stats_mutex);
+      g_active.push_back(&ctl);
+    }
+    ~publisher() {
+      mutex_lock lock(g_stats_mutex);
+      g_last_stats = ctl.stats;
+      std::erase(g_active, &ctl);
+    }
+    publisher(const publisher&) = delete;
+    publisher& operator=(const publisher&) = delete;
+  } publish{ctl};
+
+  switch (ctl.mode) {
     case exec_mode::eager:
-      run_eager(dag, st, targets, &ctl);
+      run_eager(dag, st, targets, ctl);
       break;
     case exec_mode::mem_fuse:
     case exec_mode::cache_fuse:
       try {
-        run_fused(dag, st, conf().mode == exec_mode::cache_fuse, &ctl);
+        run_fused(dag, st, ctl.mode == exec_mode::cache_fuse, ctl);
       } catch (const overload_error&) {
         // The fused pass cannot fit the budget even fully degraded, but
         // admission precedes execution, so nothing ran: the final ladder
@@ -1880,12 +1841,9 @@ void materialize(const std::vector<matrix_store::ptr>& targets, storage st,
         // strictly smaller. A single-node DAG would just re-fail with the
         // identical footprint — surface the overload instead.
         if (dag.order.size() <= 1) throw;
-        const std::string step =
-            std::string("mode:") + exec_mode_name(conf().mode) + "->eager";
-        active_pass_degrade(ctl.pass_id, step);
-        ctl.degrade.push_back(step);
-        resource_governor::global().count_degrade_step();
-        run_eager(dag, st, targets, &ctl);
+        ctl.degrade(std::string("mode:") + exec_mode_name(ctl.mode) +
+                    "->eager");
+        run_eager(dag, st, targets, ctl);
       }
       break;
   }

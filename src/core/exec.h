@@ -43,16 +43,18 @@ struct materialize_opts {
 /// Resilience: each pass is admitted by the resource governor
 /// (core/governor.h) against conf().mem_budget_bytes / max_inflight_io,
 /// degrading read-ahead, Pcache chunking and finally the fusion mode to fit
-/// — bit-identical results, slower. Throws overload_error (transient) when
-/// the budget cannot be met even fully degraded or in fail-fast mode, and
-/// timeout_error when the deadline or the hung-I/O watchdog fires.
+/// — bit-identical results, slower. Passes run one at a time: a call from a
+/// second thread queues behind the running pass. Throws overload_error
+/// (transient) when the budget cannot be met even fully degraded, or when
+/// another pass is running in fail-fast mode, and timeout_error when the
+/// deadline or the hung-I/O watchdog fires.
 void materialize(const std::vector<matrix_store::ptr>& targets, storage st);
 void materialize(const std::vector<matrix_store::ptr>& targets, storage st,
                  const materialize_opts& opts);
 
 /// Per-materialize() I/O accounting, accumulated over every pass the call
-/// ran (eager mode runs one pass per node). Snapshot with last_pass_stats()
-/// right after materialize() returns; the next materialize() resets it.
+/// ran (eager mode runs one pass per node). Each call owns one record;
+/// last_pass_stats() returns the record of the call that finished last.
 struct pass_stats {
   std::size_t passes = 0;             ///< parallel passes executed
   std::size_t sequential_passes = 0;  ///< of which forced sequential (cum)
@@ -108,15 +110,16 @@ static_assert(sizeof(pass_stats) ==
               "pass_stats layout changed: update FLASHR_PASS_STATS_FIELDS "
               "(degrade_path stays the one non-numeric field in to_json)");
 
-/// Stats of the most recent materialize() (global, not thread-local). Safe
-/// to call from any thread at any time: the snapshot is taken under a lock,
-/// so a call concurrent with a running materialize() returns a coherent
-/// copy — either the previous materialization's stats or the new ones,
+/// Stats of the materialize() call that most recently finished (normally or
+/// by exception; global, not thread-local). A call that found nothing to
+/// compute publishes nothing. Safe to call from any thread at any time: the
+/// snapshot is taken under a lock, so it is always one call's whole record,
 /// never a mix.
 pass_stats last_pass_stats();
 
-/// Materializations currently in flight, for incident bundles and the
-/// /debug/stacks route: a JSON array of
+/// Materializations currently in flight — the running one and any queued
+/// behind it — for incident bundles and the /debug/stacks route: a JSON
+/// array of
 /// {"pass_id","start_ns","elapsed_ns","deadline_ms","mode","degrade",
 ///  "admission_waits"} — degrade is the ladder path taken SO FAR, so a
 /// bundle cut mid-pass shows how far the pass had already fallen back.

@@ -60,6 +60,15 @@ std::uint64_t stall_poll_ns(std::uint64_t stall_ns) {
   return std::clamp<std::uint64_t>(stall_ns / 4, 1000000ull, 100000000ull);
 }
 
+/// Whether `fp` exceeds a budget even on an idle engine. Budgets are read
+/// from conf() at call time; a zero budget is unlimited.
+bool too_large_for_budget(const resource_governor::footprint& fp) {
+  const std::size_t mem_budget = conf().mem_budget_bytes;
+  const std::size_t io_budget = conf().max_inflight_io;
+  return (mem_budget != 0 && fp.bytes > mem_budget) ||
+         (io_budget != 0 && fp.inflight_io > io_budget);
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -68,53 +77,46 @@ std::uint64_t stall_poll_ns(std::uint64_t stall_ns) {
 
 void resource_governor::reservation::release() noexcept {
   if (!gov_) return;
-  gov_->do_release(fp_);
+  gov_->release_slot();
   gov_ = nullptr;
 }
 
-void resource_governor::do_release(const footprint& fp) noexcept {
+void resource_governor::release_slot() noexcept {
   {
     mutex_lock lock(gov_mtx_);
-    release_locked(fp);
+    FLASHR_ASSERT(active_ == 1, "governor reservation released twice");
+    reserved_bytes_ = 0;
+    reserved_io_ = 0;
+    active_ = 0;
   }
   cv_.notify_all();
 }
 
-void resource_governor::release_locked(const footprint& fp) {
-  FLASHR_ASSERT(reserved_bytes_ >= fp.bytes && reserved_io_ >= fp.inflight_io,
-                "governor reservation released twice");
-  reserved_bytes_ -= fp.bytes;
-  reserved_io_ -= fp.inflight_io;
-  --active_;
+resource_governor::reservation resource_governor::reserve_locked(
+    const footprint& fp) {
+  reserved_bytes_ = fp.bytes;
+  reserved_io_ = fp.inflight_io;
+  active_ = 1;
+  admitted_counter().add(1);
+  return reservation(this);
 }
 
 resource_governor::verdict resource_governor::try_admit(const footprint& fp,
                                                         reservation& out) {
-  const std::size_t mem_budget = conf().mem_budget_bytes;
-  const std::size_t io_budget = conf().max_inflight_io;
+  if (too_large_for_budget(fp)) return verdict::too_large;
   mutex_lock lock(gov_mtx_);
-  if ((mem_budget != 0 && fp.bytes > mem_budget) ||
-      (io_budget != 0 && fp.inflight_io > io_budget))
-    return verdict::too_large;
-  if ((mem_budget != 0 && reserved_bytes_ + fp.bytes > mem_budget) ||
-      (io_budget != 0 && reserved_io_ + fp.inflight_io > io_budget))
-    return verdict::busy;
-  reserved_bytes_ += fp.bytes;
-  reserved_io_ += fp.inflight_io;
-  ++active_;
-  admitted_counter().add(1);
-  out = reservation(this, fp);
+  if (active_ != 0) return verdict::busy;
+  out = reserve_locked(fp);
   return verdict::admitted;
 }
 
 resource_governor::reservation resource_governor::admit(
     std::uint64_t pass_id, const footprint& fp, std::uint64_t deadline_ns,
     std::uint64_t deadline_ms) {
-  const std::size_t mem_budget = conf().mem_budget_bytes;
-  const std::size_t io_budget = conf().max_inflight_io;
-  if ((mem_budget != 0 && fp.bytes > mem_budget) ||
-      (io_budget != 0 && fp.inflight_io > io_budget)) {
+  if (too_large_for_budget(fp)) {
     count_reject();
+    const std::size_t mem_budget = conf().mem_budget_bytes;
+    const std::size_t io_budget = conf().max_inflight_io;
     const bool mem = mem_budget != 0 && fp.bytes > mem_budget;
     char detail[160];
     std::snprintf(detail, sizeof(detail),
@@ -130,22 +132,15 @@ resource_governor::reservation resource_governor::admit(
   }
   const std::uint64_t t0 = now_ns();
   queue_wait_counter().add(1);
-  // Sampling profiler: time queued for the admission budget is lock wait.
+  // Sampling profiler: time queued for admission is lock wait.
   obs::sample_wait_scope sample_scope(obs::sample_state::lock_wait);
   mutex_lock lock(gov_mtx_);
   ++queued_;
   for (;;) {
-    const bool fits =
-        (mem_budget == 0 || reserved_bytes_ + fp.bytes <= mem_budget) &&
-        (io_budget == 0 || reserved_io_ + fp.inflight_io <= io_budget);
-    if (fits) {
-      reserved_bytes_ += fp.bytes;
-      reserved_io_ += fp.inflight_io;
-      ++active_;
+    if (active_ == 0) {
       --queued_;
-      admitted_counter().add(1);
       queue_wait_hist().record((now_ns() - t0) / 1000);
-      return reservation(this, fp);
+      return reserve_locked(fp);
     }
     if (deadline_ns != 0) {
       const std::uint64_t now = now_ns();
@@ -154,14 +149,14 @@ resource_governor::reservation resource_governor::admit(
         // Lock-free by design: gov_mtx_ is held right here.
         char detail[160];
         std::snprintf(detail, sizeof(detail),
-                      "pass %llu deadline expired queued for budget "
+                      "pass %llu deadline expired queued for admission "
                       "(waited_ms=%llu limit_ms=%llu)",
                       static_cast<unsigned long long>(pass_id),
                       static_cast<unsigned long long>((now - t0) / 1000000),
                       static_cast<unsigned long long>(deadline_ms));
         obs::incident_request(obs::incident_kind::governor_timeout, detail);
         throw timeout_error(
-            "pass deadline expired while queued for the resource budget",
+            "pass deadline expired while queued for admission",
             pass_id, now - t0, deadline_ms);
       }
       cv_.wait_for(lock, std::chrono::nanoseconds(deadline_ns - now));
@@ -190,7 +185,7 @@ resource_governor::health_snapshot resource_governor::health() const {
   h.degraded_passes = degraded_.load(std::memory_order_relaxed);
   h.tripped_passes = tripped_.load(std::memory_order_relaxed);
   if (h.queued_passes > 0)
-    h.reason = "passes queued for the resource budget";
+    h.reason = "passes queued behind a running pass";
   else if (h.tripped_passes > 0)
     h.reason = "watchdog tripped a running pass";
   else if (h.degraded_passes > 0)

@@ -4,17 +4,19 @@
 // the machine (§4.6 runs FlashR near the memory wall; this layer is what
 // lets a misconfigured or contended run degrade instead of thrash or hang):
 //
-//  * resource_governor — before a pass starts, exec estimates its peak
-//    footprint (prefetch window + per-worker partition claims + Pcache chunk
-//    state + EM-output staging and write-behind) and must reserve it against
-//    the process-wide budgets (conf().mem_budget_bytes, max_inflight_io).
-//    A footprint too large to EVER fit tells the caller to degrade (shrink
-//    the prefetch window, then the Pcache chunk, then fall back to eager
-//    mode); a footprint that fits but contends with running passes either
-//    queues until capacity frees (bounded by the pass deadline) or — with
-//    governor_fail_fast — surfaces a typed, transient overload_error.
-//    Reservations are RAII, so every exit path (success, cancellation,
-//    exception) releases the budget.
+//  * resource_governor — admits one pass at a time. Every pass runs on the
+//    whole thread pool (§3.5), so a second pass could only wait for the
+//    pool anyway: the governor makes that the rule. Before a pass starts,
+//    exec estimates its peak footprint (prefetch window + per-worker
+//    partition claims + Pcache chunk state + EM-output staging and
+//    write-behind) and checks it against the budgets
+//    (conf().mem_budget_bytes, max_inflight_io). A footprint too large to
+//    EVER fit tells the caller to degrade (shrink the prefetch window, then
+//    the Pcache chunk, then fall back to eager mode). A footprint that fits
+//    while another pass is running either queues until that pass ends
+//    (bounded by the pass deadline) or — with governor_fail_fast —
+//    surfaces a typed, transient overload_error. Reservations are RAII, so
+//    every exit path (success, cancellation, exception) frees the slot.
 //
 //  * pass_watchdog — one lazy, process-lifetime thread supervising running
 //    passes. A pass past its absolute deadline, or one with reads in flight
@@ -52,22 +54,19 @@ class resource_governor {
   enum class verdict {
     admitted,   ///< reservation taken; run the pass
     too_large,  ///< exceeds a budget even on an idle engine — degrade
-    busy,       ///< fits alone but contends with live passes — queue/fail
+    busy,       ///< fits, but another pass is running — queue/fail
   };
 
-  /// RAII hold on reserved budget. Movable; releasing (or destroying) wakes
+  /// RAII hold on the pass slot. Movable; releasing (or destroying) wakes
   /// queued passes.
   class reservation {
    public:
     reservation() = default;
-    reservation(reservation&& o) noexcept : gov_(o.gov_), fp_(o.fp_) {
-      o.gov_ = nullptr;
-    }
+    reservation(reservation&& o) noexcept : gov_(o.gov_) { o.gov_ = nullptr; }
     reservation& operator=(reservation&& o) noexcept {
       if (this != &o) {
         release();
         gov_ = o.gov_;
-        fp_ = o.fp_;
         o.gov_ = nullptr;
       }
       return *this;
@@ -81,16 +80,16 @@ class resource_governor {
 
    private:
     friend class resource_governor;
-    reservation(resource_governor* g, footprint fp) : gov_(g), fp_(fp) {}
+    explicit reservation(resource_governor* g) : gov_(g) {}
     resource_governor* gov_ = nullptr;
-    footprint fp_{};
   };
 
   /// Non-blocking admission: on `admitted`, `out` holds the reservation.
   /// Budgets are read from conf() at call time; a zero budget is unlimited.
   verdict try_admit(const footprint& fp, reservation& out);
 
-  /// Blocking admission for a `busy` footprint: queue until capacity frees.
+  /// Blocking admission for a `busy` footprint: queue until the running
+  /// pass releases its reservation.
   /// `deadline_ns` (absolute flashr::now_ns instant, 0 = wait indefinitely)
   /// bounds the wait — a queued pass cannot be cancelled by the watchdog,
   /// so the deadline is enforced here, surfacing the same timeout_error a
@@ -99,8 +98,8 @@ class resource_governor {
   reservation admit(std::uint64_t pass_id, const footprint& fp,
                     std::uint64_t deadline_ns, std::uint64_t deadline_ms);
 
-  /// Point-in-time health for /healthz: not ok while passes are queued for
-  /// budget, running degraded, or tripped by the watchdog.
+  /// Point-in-time health for /healthz: not ok while passes are queued
+  /// behind a running pass, running degraded, or tripped by the watchdog.
   struct health_snapshot {
     bool ok = true;
     std::size_t reserved_bytes = 0;
@@ -135,15 +134,17 @@ class resource_governor {
   static resource_governor& global();
 
  private:
-  void release_locked(const footprint& fp) REQUIRES(gov_mtx_);
-  void do_release(const footprint& fp) noexcept;
+  /// Take the one pass slot for `fp` (active_ == 0 on entry).
+  reservation reserve_locked(const footprint& fp) REQUIRES(gov_mtx_);
+  void release_slot() noexcept;
 
   friend class reservation;
   mutable mutex gov_mtx_ LOCK_RANK(governor);
   cond_var cv_;
+  /// The running pass's footprint (0 when idle), for /healthz.
   std::size_t reserved_bytes_ GUARDED_BY(gov_mtx_) = 0;
   std::size_t reserved_io_ GUARDED_BY(gov_mtx_) = 0;
-  std::size_t active_ GUARDED_BY(gov_mtx_) = 0;
+  std::size_t active_ GUARDED_BY(gov_mtx_) = 0;  ///< 0 or 1
   std::size_t queued_ GUARDED_BY(gov_mtx_) = 0;
   std::atomic<std::size_t> degraded_{0};
   std::atomic<std::size_t> tripped_{0};

@@ -252,8 +252,12 @@ void io_backend::io_loop() {
         }
         if (t0 != 0) write_hist().record((now_ns() - t0) / 1000);
       }
+      // Drop the buffer and the file before signalling: once drained, a
+      // writer may destroy its store, and the last reference to the file
+      // (whose destructor unlinks it) must not outlive the drain.
       req.wbuf.release();
       req.wlease.reset();
+      req.wfile.reset();
       stamp_completion();
       complete_write(req.len, std::move(err));
     } else {
@@ -276,6 +280,7 @@ void io_backend::io_loop() {
       // exactly the shape of an SSD whose completions stop arriving.
       fault_completion_stall();
       stamp_completion();
+      req.rfile.reset();  // likewise: not pinned past the completion
       if (req.notify) {
         // Completion-order dispatch: hand the result to the prefetch
         // pipeline on this thread, then drop the closure immediately so any

@@ -4,7 +4,6 @@
 #include <cstdarg>
 #include <cstdio>
 #include <deque>
-#include <unordered_map>
 #include <utility>
 
 #include "common/thread_safety.h"
@@ -24,15 +23,8 @@ void set_profile_enabled(bool on) {
 
 namespace {
 
-struct armed_node {
-  int id = -1;
-  plan_node_meta meta;
-};
-
 struct profile_state {
   mutex prof_mtx LOCK_RANK(profile);
-  /// Resolved store (or aliased result store) -> armed plan node.
-  std::unordered_map<const matrix_store*, armed_node> armed GUARDED_BY(prof_mtx);
   std::uint64_t pass_seq GUARDED_BY(prof_mtx) = 0;
   std::deque<pass_profile> history GUARDED_BY(prof_mtx);
   std::string last_json GUARDED_BY(prof_mtx);
@@ -102,37 +94,6 @@ std::string pass_profile::to_json() const {
   return out;
 }
 
-void profile_begin(const std::vector<matrix_store::ptr>& targets) {
-  plan_summary plan = summarize(targets);
-  profile_state& s = state();
-  mutex_lock lock(s.prof_mtx);
-  s.armed.clear();
-  for (const plan_node& n : plan.nodes) {
-    armed_node a;
-    a.id = n.id;
-    a.meta.group = n.group;
-    a.meta.est_bytes = n.est_bytes;
-    s.armed.emplace(n.store, a);
-  }
-}
-
-void profile_alias(const matrix_store* result, const matrix_store* node) {
-  if (result == nullptr || node == nullptr || result == node) return;
-  profile_state& s = state();
-  mutex_lock lock(s.prof_mtx);
-  if (auto it = s.armed.find(node); it != s.armed.end())
-    s.armed.emplace(result, it->second);
-}
-
-int profile_node_id(const matrix_store* s, plan_node_meta* meta) {
-  profile_state& st = state();
-  mutex_lock lock(st.prof_mtx);
-  auto it = st.armed.find(s);
-  if (it == st.armed.end()) return -1;
-  if (meta != nullptr) *meta = it->second.meta;
-  return it->second.id;
-}
-
 std::uint64_t profile_record(pass_profile&& p) {
   // Read config before locking: a first-ever conf() call runs lazy init,
   // which may arm the incident monitor — including a thread join on
@@ -174,7 +135,6 @@ std::string profile_history_json() {
 void profile_clear() {
   profile_state& s = state();
   mutex_lock lock(s.prof_mtx);
-  s.armed.clear();
   s.history.clear();
   s.pass_seq = 0;
   s.last_json.clear();

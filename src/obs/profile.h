@@ -1,8 +1,8 @@
 // Per-node pass profiling (the "actuals" side of explain): EXPLAIN ANALYZE
 // for the materialization engine.
 //
-// When profiling is enabled, exec::materialize arms a map from every store
-// in the pending DAG to its deterministic DFS plan id (the same ids
+// When profiling is enabled, each exec::materialize call maps every store
+// in its pending DAG to its deterministic DFS plan id (the same ids
 // explain_json() prints — obs/explain.h summarize()). Each pass accumulates
 // per-thread, per-node costs in plain per-worker arrays (kernel ns, I/O-wait
 // ns, partitions, rows, bytes, Pcache chunks) and merges them lock-free
@@ -41,15 +41,15 @@ inline bool profile_on() {
 void set_profile_enabled(bool on);
 
 /// Measured actuals of one DAG node over one pass. `id` is the plan's DFS
-/// node id, or -1 when the store was not part of the armed plan (profiling
-/// enabled without an armed materialization).
+/// node id, or -1 when the store was not part of the call's plan
+/// (profiling enabled after the call started).
 struct node_profile {
   int id = -1;
   const char* op = "?";  ///< static storage (node_kind_name / store label)
   bool sink = false;
   bool leaf = false;
-  int group = -1;                 ///< fusion group from the armed plan
-  std::uint64_t est_bytes = 0;    ///< planned size, from the armed plan
+  int group = -1;                 ///< fusion group from the plan
+  std::uint64_t est_bytes = 0;    ///< planned size, from the plan
   std::uint64_t kernel_ns = 0;    ///< kernel/generate/sink-accumulate time
   std::uint64_t copy_ns = 0;      ///< chunk-copy time (staging/output moves;
                                   ///< 0 when the zero-copy path aliased)
@@ -90,24 +90,6 @@ struct pass_profile {
 
 // --- exec-side hooks ---------------------------------------------------------
 
-/// Map every store of the pending DAG beneath `targets` to its DFS plan id
-/// and metadata (called by exec::materialize when profile_on()). Replaces
-/// the previous armed plan.
-void profile_begin(const std::vector<matrix_store::ptr>& targets);
-
-/// After a node's result store is assigned, alias the result to the node's
-/// plan id so later (eager-mode) passes that see the result as a leaf keep
-/// attributing to the original node.
-void profile_alias(const matrix_store* result, const matrix_store* node);
-
-/// Plan id of a resolved store under the armed plan; -1 when unknown.
-/// `meta`, when non-null, receives the armed plan's group/est_bytes.
-struct plan_node_meta {
-  int group = -1;
-  std::uint64_t est_bytes = 0;
-};
-int profile_node_id(const matrix_store* s, plan_node_meta* meta = nullptr);
-
 /// Push a finished pass into the history ring; assigns and returns its seq.
 /// The ring keeps the most recent conf().obs_profile_history passes.
 std::uint64_t profile_record(pass_profile&& p);
@@ -121,7 +103,7 @@ std::vector<pass_profile> profile_history();
 /// The history ring as a JSON array (the stats server's /passes).
 std::string profile_history_json();
 
-/// Drop the history ring and the armed plan (tests).
+/// Drop the history ring and the last analysis (tests).
 void profile_clear();
 
 // --- EXPLAIN ANALYZE ---------------------------------------------------------

@@ -364,6 +364,93 @@ TEST_F(GovernorTest, HealthzReports503WhileAPassIsQueued) {
             std::string::npos);
 }
 
+// Two threads call materialize() at once. Every pass uses the whole thread
+// pool, so the governor runs one at a time: the second call queues behind
+// the first, with or without a memory budget, instead of re-entering the
+// pool. Each call's stats are its own; both calls have the same shape, so
+// the checks hold whichever call's snapshot a thread reads back.
+TEST_F(GovernorTest, ConcurrentCallsQueueAndReportTheirOwnStats) {
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{80000}}) {
+    SCOPED_TRACE("mem_budget_bytes=" + std::to_string(budget));
+    init_with();
+    dense_matrix a = make_em_input();
+    dense_matrix b = make_em_input();
+    const smat h = a.to_smat();
+    mutable_conf().mem_budget_bytes = budget;
+    auto& gov = exec::resource_governor::global();
+
+    // The first call's reads are slow, so it is still running when the
+    // second call arrives.
+    fault_plan slow;
+    slow.latency_prob = 1.0;
+    slow.latency_us = 5000;
+    slow.max_faults = kParts;
+    fault_scope scope(slow);
+
+    struct call {
+      dense_matrix y;
+      exec::pass_stats stats;
+      std::string error;
+    };
+    call ca{a * 2.0 + 1.0, {}, {}};
+    call cb{b * 3.0 - 1.0, {}, {}};
+    auto run = [](call& c) {
+      try {
+        c.y.materialize(storage::in_mem);
+        c.stats = exec::last_pass_stats();
+      } catch (const std::exception& e) {
+        c.error = e.what();
+      }
+    };
+    auto wait_until = [](auto pred) {
+      const std::uint64_t t0 = now_ns();
+      while (!pred() && now_ns() - t0 < 10ull * 1000000000ull)
+        std::this_thread::yield();
+      return pred();
+    };
+
+    std::thread ta(run, std::ref(ca));
+    const bool first_running =
+        wait_until([&] { return gov.health().active_passes == 1; });
+    std::thread tb(run, std::ref(cb));
+    const bool second_queued =
+        wait_until([&] { return gov.health().queued_passes == 1; });
+    const std::string live = exec::active_passes_json();
+    ta.join();
+    tb.join();
+
+    EXPECT_TRUE(first_running);
+    EXPECT_TRUE(second_queued);
+    // Both calls are listed while the second waits; only it has waited.
+    auto count = [&live](const std::string& key) {
+      std::size_t n = 0;
+      for (std::size_t at = live.find(key); at != std::string::npos;
+           at = live.find(key, at + 1))
+        ++n;
+      return n;
+    };
+    EXPECT_EQ(count("\"pass_id\":"), 2u) << live;
+    EXPECT_EQ(count("\"admission_waits\":1}"), 1u) << live;
+    EXPECT_EQ(count("\"admission_waits\":0}"), 1u) << live;
+    EXPECT_EQ(exec::active_passes_json(), "[]");
+
+    for (const call* c : {&ca, &cb}) {
+      EXPECT_EQ(c->error, "");
+      EXPECT_EQ(c->stats.passes, 1u);
+      EXPECT_EQ(c->stats.reads_issued, kParts);
+      EXPECT_EQ(c->stats.read_bytes, kN * kCols * sizeof(double));
+    }
+    const smat ga = ca.y.to_smat();
+    const smat gb = cb.y.to_smat();
+    for (std::size_t j = 0; j < kCols; ++j)
+      for (std::size_t i = 0; i < kN; ++i) {
+        ASSERT_EQ(ga(i, j), h(i, j) * 2.0 + 1.0);
+        ASSERT_EQ(gb(i, j), h(i, j) * 3.0 - 1.0);
+      }
+    EXPECT_TRUE(gov.health().ok);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Watchdog: hung I/O and pass deadlines cancel through the zero-leak path
 // ---------------------------------------------------------------------------

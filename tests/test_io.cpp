@@ -1,8 +1,12 @@
 // Tests for the SAFS-like striped storage and the asynchronous I/O service.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstring>
+#include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/config.h"
@@ -114,6 +118,42 @@ TEST_F(SafsTest, AsyncReadWrite) {
   fut1.get();
   fut2.get();
   EXPECT_EQ(std::memcmp(data.data(), back.data(), n), 0);
+}
+
+// A completed request holds no reference to its file. A caller that drops
+// its file and then drains (or waits on a read) must find it already
+// destroyed, with its backing files unlinked: an I/O thread releasing the
+// last reference later would delete the files under whoever cleans the
+// directory next.
+TEST_F(SafsTest, CompletedRequestsReleaseTheirFile) {
+  auto& aio = async_io::global();
+  const std::size_t n = 4096;
+  const std::string name = "released" + std::to_string(::getpid());
+  std::vector<char> back(n);
+  for (int i = 0; i < 200; ++i) {
+    std::weak_ptr<safs_file> weak;
+    std::future<void> read;
+    {
+      auto f = safs_file::create(name, n);
+      weak = f;
+      auto buf = buffer_pool::global().get(n);
+      std::memset(buf.data(), i & 0xff, n);
+      aio.submit_write(f, 0, n, std::move(buf));
+      aio.drain_writes();
+      read = aio.submit_read(std::move(f), 0, n, back.data());
+    }
+    read.get();
+    ASSERT_TRUE(weak.expired()) << "read, iteration " << i;
+    ASSERT_EQ(back[0], static_cast<char>(i & 0xff));
+
+    {
+      auto f = safs_file::create(name, n);
+      weak = f;
+      aio.submit_write(std::move(f), 0, n, buffer_pool::global().get(n));
+    }
+    aio.drain_writes();
+    ASSERT_TRUE(weak.expired()) << "write, iteration " << i;
+  }
 }
 
 TEST_F(SafsTest, IoStatsCountBytes) {

@@ -91,6 +91,50 @@ TEST(LockRank, IntrospectionTracksHeldRanks) {
   EXPECT_EQ(detail::held_ranks(held, 16), 0);
 }
 
+/// Thread-local whose destructor takes a ranked lock during thread teardown,
+/// after the checker has released the thread's registry slot.
+struct late_locker {
+  std::atomic<int>* step = nullptr;
+  mutex* m = nullptr;
+  ~late_locker() {
+    if (step == nullptr) return;
+    step->store(1);  // the released slot may be claimed now
+    while (step->load() != 2) std::this_thread::yield();
+    { mutex_lock lock(*m); }
+    step->store(3);
+  }
+};
+
+// A thread releases its registry slot in a thread_local destructor, but it
+// can still take ranked locks afterwards: in later thread_local destructors
+// and, on the main thread, in static destructors. Those locks must stay
+// private to the thread. If they landed in the released slot, a thread
+// that claimed the slot meanwhile would see them, and they would see its
+// locks, so two unrelated threads would report false inversions.
+TEST(LockRank, LocksAfterSlotReleaseStayPrivate) {
+  invariant_scope on;
+  mutex low LOCK_RANK(governor);
+  mutex high LOCK_RANK(metrics_registry);
+  std::atomic<int> step{0};
+  std::thread exiting([&] {
+    // Constructed before this thread's first ranked lock, so destroyed
+    // after the checker's own thread_local has released the slot.
+    thread_local late_locker late;
+    late.step = &step;
+    late.m = &low;
+    mutex_lock lock(high);
+  });
+  std::thread claimer([&] {
+    while (step.load() != 1) std::this_thread::yield();
+    mutex_lock lock(high);  // first ranked lock: claims a free slot
+    step.store(2);
+    while (step.load() != 3) std::this_thread::yield();
+  });
+  exiting.join();
+  claimer.join();
+  EXPECT_EQ(step.load(), 3);
+}
+
 TEST(LockRank, TryLockParticipates) {
   invariant_scope on;
   mutex m LOCK_RANK(governor);

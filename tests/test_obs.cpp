@@ -411,6 +411,20 @@ TEST(ObsMetrics, ProbesMatchLegacyPassAndIoStats) {
   // Extended obs histograms recorded (obs_metrics was on).
   EXPECT_GT(reg.get_histogram("io.read_us").count(), 0u);
   EXPECT_GT(reg.get_histogram("pass.partition_service_us").count(), 0u);
+
+  // An eager-mode call writing an EM output runs one pass per node, and its
+  // intermediate lands on SSDs too: the per-pass I/O brackets add up to the
+  // global counters' movement over the whole call.
+  mutable_conf().mode = exec_mode::eager;
+  const std::uint64_t rb0 = ios.read_bytes.load();
+  const std::uint64_t wb0 = ios.write_bytes.load();
+  dense_matrix Y = X * 2.0 + 1.0;
+  Y.materialize(storage::ext_mem);
+  const exec::pass_stats e = exec::last_pass_stats();
+  EXPECT_EQ(e.passes, 2u);
+  EXPECT_GT(e.write_bytes, 0u);
+  EXPECT_EQ(e.read_bytes, ios.read_bytes.load() - rb0);
+  EXPECT_EQ(e.write_bytes, ios.write_bytes.load() - wb0);
 }
 
 TEST(ObsMetrics, ConcurrentLastPassStatsReaderIsSafe) {
