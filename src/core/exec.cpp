@@ -61,17 +61,42 @@ bool is_pending(const matrix_store* s) {
 // DAG collection
 // ---------------------------------------------------------------------------
 
+/// One node of a pass's chunk state, resolved once at plan time so the
+/// chunk loop indexes flat arrays: no resolve() (which takes the node's
+/// result mutex), no hashing of store pointers, per chunk.
+struct node_entry {
+  const matrix_store* store = nullptr;  ///< resolved store
+  store_kind kind = store_kind::mem;
+  scalar_type type = scalar_type::f64;
+  std::size_t ncol = 0;
+  std::size_t elem_size = 0;
+  /// Edges from collected parents, +1 per output writer. A chunk buffer is
+  /// recycled when its count reaches zero.
+  int consumers = 0;
+  /// Ids of the resolved children (virtual nodes only).
+  std::vector<int> children;
+
+  const virtual_store* virt() const {
+    return static_cast<const virtual_store*>(store);
+  }
+  /// Whether the node's chunks live in a buffer the pass owns (virtual
+  /// and generated); mem/ext leaves are views into existing storage.
+  bool owns_chunk() const {
+    return kind != store_kind::mem && kind != store_kind::ext;
+  }
+};
+
 struct dag_info {
   /// All pending virtual nodes, topologically ordered (children first).
   std::vector<virtual_store*> order;
-  /// Consumer counts (edges from collected parents, +1 per output writer /
-  /// sink use) for every node appearing as an input or output of a chunk.
-  std::unordered_map<const matrix_store*, int> consumers;
-  /// Dense ids for every node touched during a chunk (leaves included), so
-  /// per-chunk evaluation state lives in flat arrays instead of hash maps.
-  /// Populated once at the end of collect(); read-only during the pass.
+  /// Every node touched during a chunk (leaves, pending nodes, sinks), by
+  /// dense id. Built by collect(); read-only during the pass.
+  std::vector<node_entry> nodes;
+  /// Plan-time lookup from a resolved store to its dense id.
   std::unordered_map<const matrix_store*, int> ids;
-  int num_ids = 0;
+  /// Ids of the mem/ext leaves, whose per-partition views each worker
+  /// resolves once per claimed partition.
+  std::vector<int> leaf_ids;
 
   int id_of(const matrix_store* s) const {
     auto it = ids.find(s);
@@ -81,6 +106,8 @@ struct dag_info {
   /// Partition-aligned nodes whose data must be written out (targets and
   /// set.cache'd intermediates).
   std::vector<virtual_store*> tall_outputs;
+  /// Ids of tall_outputs, in the same order.
+  std::vector<int> tall_ids;
   /// Requested (as opposed to cache-flag-only) tall outputs: these honour
   /// the caller's storage; cache-only nodes use their own cache_storage.
   std::unordered_set<const virtual_store*> requested_talls;
@@ -97,6 +124,24 @@ struct dag_info {
   std::size_t max_elem = 1;
   bool has_cum = false;
 };
+
+/// The dense id of resolved store `s`, entering it into the node table on
+/// first sight.
+int intern(dag_info& dag, const matrix_store* s) {
+  const auto [it, fresh] =
+      dag.ids.emplace(s, static_cast<int>(dag.nodes.size()));
+  if (fresh) {
+    node_entry e;
+    e.store = s;
+    e.kind = s->kind();
+    e.type = s->type();
+    e.ncol = s->ncol();
+    e.elem_size = s->elem_size();
+    dag.nodes.push_back(std::move(e));
+    if (!dag.nodes.back().owns_chunk()) dag.leaf_ids.push_back(it->second);
+  }
+  return it->second;
+}
 
 void note_space(dag_info& dag, const matrix_store* s) {
   if (!dag.space_set) {
@@ -115,10 +160,12 @@ void note_space(dag_info& dag, const matrix_store* s) {
 void collect_node(dag_info& dag, const matrix_store::ptr& store,
                   std::unordered_set<const matrix_store*>& visited);
 
-void collect_child(dag_info& dag, const matrix_store::ptr& child,
-                   std::unordered_set<const matrix_store*>& visited) {
+/// Count one edge into `child` and collect it; returns the child's id.
+int collect_child(dag_info& dag, const matrix_store::ptr& child,
+                  std::unordered_set<const matrix_store*>& visited) {
   const matrix_store* r = resolve(child.get());
-  ++dag.consumers[r];
+  const int id = intern(dag, r);
+  ++dag.nodes[static_cast<std::size_t>(id)].consumers;
   if (r->kind() == store_kind::virt) {
     collect_node(dag, child, visited);
   } else {
@@ -127,6 +174,7 @@ void collect_child(dag_info& dag, const matrix_store::ptr& child,
     if (r->kind() == store_kind::ext)
       dag.em_leaves.push_back(static_cast<const em_readable*>(r));
   }
+  return id;
 }
 
 void collect_node(dag_info& dag, const matrix_store::ptr& store,
@@ -135,10 +183,13 @@ void collect_node(dag_info& dag, const matrix_store::ptr& store,
   if (r->kind() != store_kind::virt) return;
   if (!visited.insert(r).second) return;
   auto* v = const_cast<virtual_store*>(static_cast<const virtual_store*>(r));
-  FLASHR_CHECK(!v->is_sink_node() || dag.consumers[r] == 0,
+  const auto id = static_cast<std::size_t>(intern(dag, r));
+  FLASHR_CHECK(!v->is_sink_node() || dag.nodes[id].consumers == 0,
                "internal: sink used as DAG input (materialize it first)");
+  std::vector<int> children;
   for (const auto& child : v->children())
-    collect_child(dag, child, visited);
+    children.push_back(collect_child(dag, child, visited));
+  dag.nodes[id].children = std::move(children);
   if (!v->is_sink_node()) note_space(dag, v);
   if (v->op().kind == node_kind::cum_col) dag.has_cum = true;
   dag.order.push_back(v);  // children pushed first -> topological
@@ -158,8 +209,11 @@ dag_info collect(const std::vector<matrix_store::ptr>& targets) {
     if (v->is_sink_node()) {
       dag.sinks.push_back(v);
     } else {
+      const int id = dag.id_of(v);
       dag.tall_outputs.push_back(v);
-      ++dag.consumers[v];  // the output writer consumes the node's chunks
+      dag.tall_ids.push_back(id);
+      // The output writer consumes the node's chunks.
+      ++dag.nodes[static_cast<std::size_t>(id)].consumers;
     }
   };
   for (const auto& t : targets) {
@@ -176,15 +230,24 @@ dag_info collect(const std::vector<matrix_store::ptr>& targets) {
   dag.em_leaves.erase(
       std::unique(dag.em_leaves.begin(), dag.em_leaves.end()),
       dag.em_leaves.end());
-  // Assign dense node ids: every node that can appear in per-chunk state is
-  // a key of `consumers` (children and counted outputs).
-  for (const auto& [node, count] : dag.consumers) {
-    (void)count;
-    dag.ids.emplace(node, dag.num_ids++);
-  }
   if (!dag.space_set && !dag.order.empty())
     throw_error("cannot infer the partition space of an empty DAG");
   return dag;
+}
+
+/// Bytes of chunk evaluation state one worker holds at most: one buffer of
+/// `chunk_rows` rows per node that owns chunks. `size_class` charges each
+/// buffer at the pool size class it actually occupies.
+std::size_t worker_chunk_bytes(const dag_info& dag, std::size_t chunk_rows,
+                               bool size_class) {
+  const std::size_t rows = chunk_rows == 0 ? dag.space.part_rows : chunk_rows;
+  std::size_t bytes = 0;
+  for (const node_entry& n : dag.nodes) {
+    if (!n.owns_chunk()) continue;
+    const std::size_t b = rows * n.ncol * n.elem_size;
+    bytes += size_class ? buffer_pool::class_size(b) : b;
+  }
+  return bytes;
 }
 
 // ---------------------------------------------------------------------------
@@ -193,6 +256,7 @@ dag_info collect(const std::vector<matrix_store::ptr>& targets) {
 
 struct sink_desc {
   virtual_store* node = nullptr;
+  int id = -1;  ///< the sink's dense id (its children are in the node table)
   std::size_t out_rows = 0;
   std::size_t out_cols = 0;
   /// Elements in a partial accumulator. Usually out_rows*out_cols, but the
@@ -203,9 +267,10 @@ struct sink_desc {
   agg_id merge_op = agg_id::sum;
 };
 
-sink_desc describe_sink(virtual_store* v) {
+sink_desc describe_sink(const dag_info& dag, virtual_store* v) {
   sink_desc d;
   d.node = v;
+  d.id = dag.id_of(v);
   const genop& op = v->op();
   const matrix_store* a = resolve(v->children().at(0).get());
   switch (op.kind) {
@@ -411,6 +476,16 @@ class pass_runner {
     std::vector<chunk_buf> chunk;   // indexed by dag node id
     std::uint64_t gen = 0;          // current chunk generation
     int live_owned = 0;             // owned buffers not yet recycled
+    /// Chunk buffers this worker released, most recent last (§3.5.1): the
+    /// next same-class request reuses the cache-hot one without touching
+    /// the pool. Returned to the pool when the worker exits.
+    std::vector<pool_buffer> spare;
+    /// Bytes of the chunk buffers this worker holds, live and spare;
+    /// bounded by pass_runner::chunk_cap_.
+    std::size_t held_bytes = 0;
+    /// Partition-start views of the mem/ext leaves (by node id), resolved
+    /// once per claimed partition.
+    std::vector<kern::view> part_view;
     /// Per-sink partial accumulators.
     std::vector<std::vector<char>> sink_acc;
     /// Per-node profiling partials, plain u64 (slot * kProfFields + field);
@@ -420,8 +495,8 @@ class pass_runner {
     /// Chunk evaluations this worker satisfied by aliasing; folded into the
     /// call's stats when the worker exits.
     std::size_t zero_copy = 0;
-    /// Per-cum-node running carry for the current partition.
-    std::unordered_map<const virtual_store*, std::vector<char>> cum_carry;
+    /// Per-cum-node running carry for the current partition, by node id.
+    std::vector<std::vector<char>> cum_carry;
     bool cum_has_carry = false;
     /// Current EM read buffers: (leaf, part) -> buffer.
     std::unordered_map<const em_readable*, pool_buffer> em_bufs;
@@ -430,11 +505,9 @@ class pass_runner {
     /// chunk aliases and in-flight partition writes. Checked by leaf_view
     /// before em_bufs.
     std::unordered_map<const em_readable*, pool_lease> em_leases;
-    /// Staging buffers for EM outputs of the current partition.
-    std::unordered_map<const virtual_store*, pool_buffer> out_stage;
-    /// Per tall output: the EM leaf whose read buffer is written verbatim
-    /// as this partition's output (zero-copy), or null for the staged path.
-    std::vector<const em_readable*> zc_out;
+    /// Staging buffers for EM outputs of the current partition, parallel to
+    /// dag_.tall_outputs.
+    std::vector<pool_buffer> out_stage;
     /// Current chunk geometry.
     std::size_t part = 0;
     std::size_t part_row0 = 0;     // global row of partition start
@@ -445,15 +518,23 @@ class pass_runner {
 
   void process_partition(thread_ctx& ctx);
   void process_chunk(thread_ctx& ctx);
-  chunk_buf& ensure(thread_ctx& ctx, const matrix_store::ptr& child);
-  void unref(thread_ctx& ctx, const matrix_store::ptr& child);
-  kern::view leaf_view(thread_ctx& ctx, const matrix_store* leaf);
+  chunk_buf& ensure(thread_ctx& ctx, int id);
+  void unref(thread_ctx& ctx, int id);
+  /// Partition-start view of mem/ext leaf `id` in the claimed partition.
+  kern::view leaf_view(thread_ctx& ctx, int id);
   /// The EM leaf whose prefetched read buffer IS output `v`'s partition
   /// value — v is an identity cast over an ext leaf of identical geometry,
   /// so the bytes read are exactly the bytes to write — or null when the
   /// output needs a staging copy.
   const em_readable* zero_copy_source(const virtual_store* v) const;
-  void eval_virtual(thread_ctx& ctx, virtual_store* v, chunk_buf& out);
+  void eval_virtual(thread_ctx& ctx, int id, chunk_buf& out);
+  /// A chunk buffer of `bytes`: the worker's most recent spare of the same
+  /// size class, else a pool buffer (evicting the oldest spares first so the
+  /// worker stays within chunk_cap_).
+  pool_buffer take_chunk_buffer(thread_ctx& ctx, std::size_t bytes);
+  /// Hand a chunk buffer whose last consumer finished back to the worker's
+  /// spares (to the pool under the invariant validator).
+  void recycle_chunk_buffer(thread_ctx& ctx, pool_buffer& b);
 
   /// Worker dispatch loop (body of the pass; runs on every pool thread):
   /// drain the home pipeline's completed partitions, then steal from other
@@ -476,11 +557,10 @@ class pass_runner {
   /// dag ids first, then one slot per sink (sink targets have no dense id —
   /// nothing consumes them).
   void prof_init();
-  /// Plan id of `s` for sampler attribution; -1 (no node) when profiling
-  /// is off, without the id lookup.
-  int prof_id(const matrix_store* s) const {
-    return prof_ ? prof_nodes_[static_cast<std::size_t>(dag_.id_of(s))].id
-                 : -1;
+  /// Plan id of profiling slot `id` (a node id, or a sink's slot) for
+  /// sampler attribution; -1 (no node) when profiling is off.
+  int prof_id(int id) const {
+    return prof_ ? prof_nodes_[static_cast<std::size_t>(id)].id : -1;
   }
   /// Per-pass wrap-up: fold prof_acc_ into a pass_profile and push it into
   /// the history ring. Success path only.
@@ -507,10 +587,22 @@ class pass_runner {
   std::exception_ptr pass_error_ GUARDED_BY(error_mutex_);
   /// Output stores, parallel to dag_.tall_outputs.
   std::vector<matrix_store::ptr> out_stores_;
+  /// Per tall output: the EM leaf whose read buffer is written verbatim as
+  /// each partition of an EM output (zero-copy), or null for the staged
+  /// path (and for in-memory outputs).
+  std::vector<const em_readable*> zc_out_;
+  /// Whether workers keep released chunk buffers as spares. Off under the
+  /// invariant validator, so every return goes through the pool's
+  /// poisoning and use-after-return checks.
+  bool recycle_ = false;
+  /// The most chunk-buffer bytes one worker may hold: one buffer per node
+  /// that owns chunks, at its pool size class — the per-worker chunk term
+  /// of estimate_footprint().
+  std::size_t chunk_cap_ = 0;
   std::vector<sink_desc> sinks_;
-  /// One chain per cum node; populated before the pass, then read-only (each
-  /// chain carries its own mutex).
-  std::unordered_map<const virtual_store*, cum_chain> cum_chains_;
+  /// One chain per cum node, keyed by node id; populated before the pass,
+  /// then read-only (each chain carries its own mutex).
+  std::map<int, cum_chain> cum_chains_;
   mutex acc_mutex_ LOCK_RANK(pass_acc);
   /// Sink partials are produced per PARTITION and merged in ascending
   /// partition order: neither which worker claimed a partition, the claim
@@ -637,14 +729,19 @@ void pass_runner::allocate_outputs() {
     const part_geom& g = v->geom();
     const storage st =
         dag_.requested_talls.count(v) ? cfg_.st : v->cache_storage();
-    if (st == storage::ext_mem)
+    if (st == storage::ext_mem) {
       out_stores_.push_back(
           em_store::create(g.nrow, g.ncol, v->type(), g.part_rows));
-    else
+      zc_out_.push_back(zero_copy_source(v));
+    } else {
       out_stores_.push_back(
           mem_store::create(g.nrow, g.ncol, v->type(), g.part_rows));
+      zc_out_.push_back(nullptr);
+    }
   }
-  for (virtual_store* v : dag_.sinks) sinks_.push_back(describe_sink(v));
+  for (virtual_store* v : dag_.sinks) sinks_.push_back(describe_sink(dag_, v));
+  recycle_ = !invariants_enabled();
+  chunk_cap_ = worker_chunk_bytes(dag_, cfg_.chunk_rows, true);
 }
 
 std::vector<char> pass_runner::make_sink_identity(const sink_desc& s) const {
@@ -697,8 +794,8 @@ void pass_runner::init_cum_chains() {
   if (!dag_.has_cum) return;
   for (virtual_store* v : dag_.order) {
     if (v->op().kind != node_kind::cum_col) continue;
-    cum_chains_[v].init(dag_.space.num_parts(),
-                        v->ncol() * type_size(v->type()));
+    cum_chains_[dag_.id_of(v)].init(dag_.space.num_parts(),
+                                    v->ncol() * v->elem_size());
   }
 }
 
@@ -709,7 +806,7 @@ std::size_t chunk_rows_for(const dag_info& dag) {
 void pass_runner::prof_init() {
   prof_ = obs::profile_on();
   if (!prof_) return;
-  prof_slots_ = static_cast<std::size_t>(dag_.num_ids) + sinks_.size();
+  prof_slots_ = dag_.nodes.size() + sinks_.size();
   prof_nodes_.assign(prof_slots_, {});
   // Plan identity (id, group, estimate) from the call's plan map; -1 ids
   // for stores the plan does not name.
@@ -717,15 +814,14 @@ void pass_runner::prof_init() {
     if (auto it = ctl_.plan.find(s); it != ctl_.plan.end())
       prof_nodes_[slot] = it->second;
   };
-  for (const auto& [node, id] : dag_.ids) {
-    const auto slot = static_cast<std::size_t>(id);
-    identify(slot, node);
+  for (std::size_t slot = 0; slot < dag_.nodes.size(); ++slot) {
+    const node_entry& node = dag_.nodes[slot];
+    identify(slot, node.store);
     obs::node_profile& n = prof_nodes_[slot];
-    n.leaf = node->kind() != store_kind::virt;
-    switch (node->kind()) {
+    n.leaf = node.kind != store_kind::virt;
+    switch (node.kind) {
       case store_kind::virt:
-        n.op = node_kind_name(
-            static_cast<const virtual_store*>(node)->op().kind);
+        n.op = node_kind_name(node.virt()->op().kind);
         break;
       case store_kind::mem:
         n.op = "mem";
@@ -739,7 +835,7 @@ void pass_runner::prof_init() {
     }
   }
   for (std::size_t s = 0; s < sinks_.size(); ++s) {
-    const std::size_t slot = static_cast<std::size_t>(dag_.num_ids) + s;
+    const std::size_t slot = dag_.nodes.size() + s;
     identify(slot, sinks_[s].node);
     prof_nodes_[slot].op = node_kind_name(sinks_[s].node->op().kind);
     prof_nodes_[slot].sink = true;
@@ -807,8 +903,8 @@ void pass_runner::fail(std::exception_ptr e) noexcept {
     if (!pass_error_) pass_error_ = e;
   }
   cancel_.store(true, std::memory_order_release);
-  for (auto& [node, chain] : cum_chains_) {
-    (void)node;
+  for (auto& [id, chain] : cum_chains_) {
+    (void)id;
     chain.cancel();
   }
   // Wake workers parked in pop(); pipelines stop refilling, in-flight reads
@@ -958,7 +1054,10 @@ void pass_runner::run() {
     obs::sample_pass_scope sample_pass(samp_pass_);
     thread_ctx ctx;
     ctx.thread_idx = thread_idx;
-    ctx.chunk.resize(static_cast<std::size_t>(dag_.num_ids));
+    ctx.chunk.resize(dag_.nodes.size());
+    ctx.part_view.resize(dag_.nodes.size());
+    ctx.out_stage.resize(dag_.tall_outputs.size());
+    if (dag_.has_cum) ctx.cum_carry.resize(dag_.nodes.size());
     if (prof_) ctx.prof.assign(prof_slots_ * kProfFields, 0);
     // Sink partials start at the aggregation identity; they are re-armed
     // after every partition by submit_sink_partials().
@@ -989,8 +1088,9 @@ void pass_runner::run() {
           .fetch_add(ctx.zero_copy, std::memory_order_relaxed);
       if (obs::metrics_on()) zero_copy_counter().add(ctx.zero_copy);
     }
-    // ctx destruction returns every worker-held pool buffer (chunk bufs,
-    // EM read buffers, staged outputs) whether the pass succeeded or not.
+    // ctx destruction returns every worker-held pool buffer (chunk bufs and
+    // their spares, EM read buffers, staged outputs) whether the pass
+    // succeeded or not.
     // Sink partials were already submitted per partition; whatever is left
     // in ctx.sink_acc is an untouched identity (or a cancelled partition's
     // partial, discarded with the pass).
@@ -1050,9 +1150,10 @@ void pass_runner::process_partition(thread_ctx& ctx) {
   // Fetch incoming cumulative carries before the first chunk.
   ctx.cum_has_carry = false;
   if (dag_.has_cum) {
-    for (auto& [node, chain] : cum_chains_) {
-      auto& carry = ctx.cum_carry[node];
-      carry.resize(node->ncol() * type_size(node->type()));
+    for (auto& [id, chain] : cum_chains_) {
+      const node_entry& n = dag_.nodes[static_cast<std::size_t>(id)];
+      auto& carry = ctx.cum_carry[static_cast<std::size_t>(id)];
+      carry.resize(n.ncol * n.elem_size);
       if (ctx.part > 0) {
         // Parked on a predecessor's cumulative carry: lock wait.
         obs::sample_wait_scope sample_scope(obs::sample_state::lock_wait);
@@ -1066,12 +1167,9 @@ void pass_runner::process_partition(thread_ctx& ctx) {
   // outputs, whose partitions are written verbatim from the EM read buffer:
   // the pool buffer is promoted to a refcounted lease shared between the
   // chunk aliases, any other consumer of the leaf, and the in-flight write.
-  ctx.zc_out.assign(dag_.tall_outputs.size(), nullptr);
   for (std::size_t i = 0; i < dag_.tall_outputs.size(); ++i) {
-    virtual_store* v = dag_.tall_outputs[i];
     if (out_stores_[i]->kind() != store_kind::ext) continue;
-    if (const em_readable* src = zero_copy_source(v)) {
-      ctx.zc_out[i] = src;
+    if (const em_readable* src = zc_out_[i]) {
       if (ctx.em_leases.find(src) == ctx.em_leases.end()) {
         auto it = ctx.em_bufs.find(src);
         FLASHR_ASSERT(it != ctx.em_bufs.end(), "EM partition not prefetched");
@@ -1080,9 +1178,13 @@ void pass_runner::process_partition(thread_ctx& ctx) {
       }
       continue;
     }
-    ctx.out_stage[v] =
+    const virtual_store* v = dag_.tall_outputs[i];
+    ctx.out_stage[i] =
         buffer_pool::global().get(v->geom().part_bytes(ctx.part, v->type()));
   }
+  // Resolve every leaf's view of this partition once; chunks offset it.
+  for (const int id : dag_.leaf_ids)
+    ctx.part_view[static_cast<std::size_t>(id)] = leaf_view(ctx, id);
 
   const std::size_t step =
       cfg_.chunk_rows == 0 ? ctx.part_rows : cfg_.chunk_rows;
@@ -1098,52 +1200,44 @@ void pass_runner::process_partition(thread_ctx& ctx) {
   // the read buffer stays alive until the slowest of {this partition's
   // remaining consumers, the write completion} drops its share.
   for (std::size_t i = 0; i < dag_.tall_outputs.size(); ++i) {
-    virtual_store* v = dag_.tall_outputs[i];
     if (out_stores_[i]->kind() != store_kind::ext) continue;
     auto* em = static_cast<em_store*>(out_stores_[i].get());
-    if (ctx.zc_out[i] != nullptr) {
-      em->write_part_async(ctx.part, ctx.em_leases[ctx.zc_out[i]]);
+    if (zc_out_[i] != nullptr) {
+      em->write_part_async(ctx.part, ctx.em_leases[zc_out_[i]]);
       ++ctx.zero_copy;
     } else {
-      auto it = ctx.out_stage.find(v);
-      em->write_part_async(ctx.part, std::move(it->second));
-      ctx.out_stage.erase(it);
+      em->write_part_async(ctx.part, std::move(ctx.out_stage[i]));
     }
   }
 
   // Publish cumulative carries for the next partition.
-  for (auto& [node, chain] : cum_chains_) {
-    const auto& carry = ctx.cum_carry[node];
+  for (auto& [id, chain] : cum_chains_) {
+    const auto& carry = ctx.cum_carry[static_cast<std::size_t>(id)];
     chain.publish(ctx.part, carry.data(), carry.size());
   }
 
-  FLASHR_DCHECK(ctx.out_stage.empty(),
+  FLASHR_DCHECK(std::none_of(ctx.out_stage.begin(), ctx.out_stage.end(),
+                             [](const pool_buffer& b) { return b.valid(); }),
                 "staged output buffer survived its partition");
   if (svc0 != 0) partition_service_hist().record((now_ns() - svc0) / 1000);
 }
 
-kern::view pass_runner::leaf_view(thread_ctx& ctx, const matrix_store* leaf) {
+kern::view pass_runner::leaf_view(thread_ctx& ctx, int id) {
+  const matrix_store* leaf = dag_.nodes[static_cast<std::size_t>(id)].store;
   switch (leaf->kind()) {
     case store_kind::mem: {
       auto* m = static_cast<const mem_store*>(leaf);
-      const std::size_t stride = m->part_stride(ctx.part);
-      return kern::view{
-          m->part_data(ctx.part) + ctx.chunk_row0 * leaf->elem_size(),
-          stride};
+      return kern::view{m->part_data(ctx.part), m->part_stride(ctx.part)};
     }
     case store_kind::ext: {
       auto* e = static_cast<const em_readable*>(leaf);
       // A zero-copy output moved this leaf's read buffer into a shared
       // lease; same bytes, shared ownership.
       if (auto lt = ctx.em_leases.find(e); lt != ctx.em_leases.end())
-        return kern::view{
-            lt->second.data() + ctx.chunk_row0 * leaf->elem_size(),
-            ctx.part_rows};
+        return kern::view{lt->second.data(), ctx.part_rows};
       auto it = ctx.em_bufs.find(e);
       FLASHR_ASSERT(it != ctx.em_bufs.end(), "EM partition not prefetched");
-      return kern::view{
-          it->second.data() + ctx.chunk_row0 * leaf->elem_size(),
-          ctx.part_rows};
+      return kern::view{it->second.data(), ctx.part_rows};
     }
     default:
       FLASHR_ASSERT(false, "not a leaf store");
@@ -1166,72 +1260,95 @@ const em_readable* pass_runner::zero_copy_source(
   return static_cast<const em_readable*>(c);
 }
 
-chunk_buf& pass_runner::ensure(thread_ctx& ctx,
-                               const matrix_store::ptr& child) {
-  const matrix_store* key = resolve(child.get());
-  chunk_buf& cb = ctx.chunk[static_cast<std::size_t>(dag_.id_of(key))];
+pool_buffer pass_runner::take_chunk_buffer(thread_ctx& ctx,
+                                           std::size_t bytes) {
+  if (!recycle_) return buffer_pool::global().get(bytes);
+  const std::size_t cls = buffer_pool::class_size(bytes);
+  for (auto it = ctx.spare.end(); it != ctx.spare.begin();) {
+    --it;
+    if (it->size() != cls) continue;
+    pool_buffer b = std::move(*it);
+    ctx.spare.erase(it);
+    return b;
+  }
+  // A miss: evict the coldest spares until the new buffer fits the bound.
+  std::size_t drop = 0;
+  while (drop < ctx.spare.size() && ctx.held_bytes + cls > chunk_cap_)
+    ctx.held_bytes -= ctx.spare[drop++].size();
+  ctx.spare.erase(ctx.spare.begin(),
+                  ctx.spare.begin() + static_cast<std::ptrdiff_t>(drop));
+  ctx.held_bytes += cls;
+  return buffer_pool::global().get(bytes);
+}
+
+void pass_runner::recycle_chunk_buffer(thread_ctx& ctx, pool_buffer& b) {
+  if (recycle_)
+    ctx.spare.push_back(std::move(b));
+  else
+    b.release();
+}
+
+chunk_buf& pass_runner::ensure(thread_ctx& ctx, int id) {
+  chunk_buf& cb = ctx.chunk[static_cast<std::size_t>(id)];
   if (cb.gen == ctx.gen) return cb;
 
+  const node_entry& n = dag_.nodes[static_cast<std::size_t>(id)];
   cb.gen = ctx.gen;
-  cb.owned.release();
-  auto cons = dag_.consumers.find(key);
-  cb.remaining = cons == dag_.consumers.end() ? 1 : cons->second;
+  cb.remaining = n.consumers;
 
-  switch (key->kind()) {
+  switch (n.kind) {
     case store_kind::mem:
-    case store_kind::ext:
-      cb.v = leaf_view(ctx, key);
+    case store_kind::ext: {
+      const kern::view& pv = ctx.part_view[static_cast<std::size_t>(id)];
+      cb.v = kern::view{pv.data + ctx.chunk_row0 * n.elem_size, pv.stride};
       break;
+    }
     case store_kind::generated: {
-      auto* g = static_cast<const generated_store*>(key);
-      cb.owned = buffer_pool::global().get(ctx.chunk_rows * g->ncol() *
-                                           g->elem_size());
+      auto* g = static_cast<const generated_store*>(n.store);
+      const std::size_t bytes = ctx.chunk_rows * n.ncol * n.elem_size;
+      cb.owned = take_chunk_buffer(ctx, bytes);
       ++ctx.live_owned;
-      obs::sample_node_scope sample_scope(prof_id(key));
+      obs::sample_node_scope sample_scope(prof_id(id));
       const std::uint64_t g0 = prof_ ? now_ns() : 0;
       g->generate(ctx.part_row0 + ctx.chunk_row0, ctx.chunk_rows,
                   cb.owned.data(), ctx.chunk_rows);
       if (prof_) {
-        const int slot = dag_.id_of(key);
-        prof_add(ctx, slot, pf_kernel, now_ns() - g0);
-        prof_add(ctx, slot, pf_rows, ctx.chunk_rows);
-        prof_add(ctx, slot, pf_bytes,
-                 ctx.chunk_rows * g->ncol() * g->elem_size());
-        prof_add(ctx, slot, pf_chunks, 1);
-        if (ctx.chunk_row0 == 0) prof_add(ctx, slot, pf_parts, 1);
+        prof_add(ctx, id, pf_kernel, now_ns() - g0);
+        prof_add(ctx, id, pf_rows, ctx.chunk_rows);
+        prof_add(ctx, id, pf_bytes, bytes);
+        prof_add(ctx, id, pf_chunks, 1);
+        if (ctx.chunk_row0 == 0) prof_add(ctx, id, pf_parts, 1);
       }
       cb.v = kern::view{cb.owned.data(), ctx.chunk_rows};
       break;
     }
-    case store_kind::virt: {
-      auto* v = const_cast<virtual_store*>(
-          static_cast<const virtual_store*>(key));
-      eval_virtual(ctx, v, cb);
+    case store_kind::virt:
+      eval_virtual(ctx, id, cb);
       break;
-    }
   }
   return cb;
 }
 
-void pass_runner::unref(thread_ctx& ctx, const matrix_store::ptr& child) {
-  const matrix_store* key = resolve(child.get());
-  chunk_buf& cb = ctx.chunk[static_cast<std::size_t>(dag_.id_of(key))];
+void pass_runner::unref(thread_ctx& ctx, int id) {
+  chunk_buf& cb = ctx.chunk[static_cast<std::size_t>(id)];
   FLASHR_ASSERT(cb.gen == ctx.gen && cb.remaining > 0,
                 "unref of missing chunk");
   if (--cb.remaining <= 0 && cb.owned.valid()) {
-    // Buffer returns to the pool (LIFO) so the very next allocation —
-    // typically the consumer's output — reuses cache-hot memory (§3.5.1).
-    cb.owned.release();
+    // The buffer goes back on the worker's spares (LIFO) so the very next
+    // allocation — typically the consumer's output — reuses cache-hot
+    // memory (§3.5.1).
+    recycle_chunk_buffer(ctx, cb.owned);
     --ctx.live_owned;
   }
 }
 
-void pass_runner::eval_virtual(thread_ctx& ctx, virtual_store* v,
-                               chunk_buf& out) {
-  const genop& op = v->op();
-  const auto& ch = v->children();
+void pass_runner::eval_virtual(thread_ctx& ctx, int id, chunk_buf& out) {
+  const node_entry& n = dag_.nodes[static_cast<std::size_t>(id)];
+  const genop& op = n.virt()->op();
+  const std::vector<int>& ch = n.children;
+  const node_entry& c0 = dag_.nodes[static_cast<std::size_t>(ch[0])];
   const std::size_t rows = ctx.chunk_rows;
-  const std::size_t cols = v->ncol();
+  const std::size_t cols = n.ncol;
 
   // Zero-copy identity cast: casting to the child's own scalar type over a
   // leaf that is already resident (a mem partition or a prefetched EM read
@@ -1239,101 +1356,98 @@ void pass_runner::eval_virtual(thread_ctx& ctx, virtual_store* v,
   // output chunk and running a copy kernel. Restricted to mem/ext leaves:
   // their views do not live in a recycled chunk buffer, so the alias stays
   // valid after the child's unref.
-  if (op.kind == node_kind::cast_type) {
-    const matrix_store* c0 = resolve(ch[0].get());
-    if (op.to_type == c0->type() &&
-        (c0->kind() == store_kind::mem || c0->kind() == store_kind::ext)) {
-      out.v = ensure(ctx, ch[0]).v;
-      unref(ctx, ch[0]);
-      ++ctx.zero_copy;
-      if (prof_) {
-        const int slot = dag_.id_of(v);
-        prof_add(ctx, slot, pf_rows, rows);
-        prof_add(ctx, slot, pf_chunks, 1);
-        if (ctx.chunk_row0 == 0) prof_add(ctx, slot, pf_parts, 1);
-      }
-      return;
+  if (op.kind == node_kind::cast_type && op.to_type == c0.type &&
+      !c0.owns_chunk()) {
+    out.v = ensure(ctx, ch[0]).v;
+    unref(ctx, ch[0]);
+    ++ctx.zero_copy;
+    if (prof_) {
+      prof_add(ctx, id, pf_rows, rows);
+      prof_add(ctx, id, pf_chunks, 1);
+      if (ctx.chunk_row0 == 0) prof_add(ctx, id, pf_parts, 1);
     }
+    return;
   }
 
-  // Gather child views first (depth-first traversal).
-  std::vector<kern::view> in;
-  in.reserve(ch.size());
-  for (const auto& c : ch) in.push_back(ensure(ctx, c).v);
+  // Evaluate the children first (depth-first traversal); their views stay
+  // in ctx.chunk until the unrefs below.
+  for (const int c : ch) ensure(ctx, c);
+  auto in = [&](std::size_t i) -> const kern::view& {
+    return ctx.chunk[static_cast<std::size_t>(ch[i])].v;
+  };
 
   // Kernel execution: node_kind_name() returns a string literal, which
   // satisfies the span's static-storage requirement.
   obs::span kernel_span(node_kind_name(op.kind), rows);
   // Samples landing in the kernel (or its allocation) attribute to this
   // node's plan id; nested ensure() calls already closed their own scopes.
-  obs::sample_node_scope sample_scope(prof_id(v));
-  const std::uint64_t k0 = (obs::metrics_on() || prof_) ? now_ns() : 0;
+  obs::sample_node_scope sample_scope(prof_id(id));
 
-  out.owned = buffer_pool::global().get(rows * cols * v->elem_size());
+  out.owned = take_chunk_buffer(ctx, rows * cols * n.elem_size);
   ++ctx.live_owned;
   char* o = out.owned.data();
   const std::size_t ostride = rows;
-  const scalar_type ct = resolve(ch[0].get())->type();
+  const scalar_type ct = c0.type;
+  // The kernel clock starts with the output buffer in hand: buffer
+  // traffic is not kernel time.
+  const std::uint64_t k0 = (obs::metrics_on() || prof_) ? now_ns() : 0;
 
   switch (op.kind) {
     case node_kind::sapply:
-      kern::sapply(ct, op.u, in[0], rows, cols, o, ostride);
+      kern::sapply(ct, op.u, in(0), rows, cols, o, ostride);
       break;
     case node_kind::map2: {
       const bool bcast =
-          resolve(ch[1].get())->ncol() == 1 && cols > 1;
-      kern::map2(ct, op.b, in[0], in[1], bcast, rows, cols, o, ostride);
+          dag_.nodes[static_cast<std::size_t>(ch[1])].ncol == 1 && cols > 1;
+      kern::map2(ct, op.b, in(0), in(1), bcast, rows, cols, o, ostride);
       break;
     }
     case node_kind::map_scalar:
-      kern::map_scalar(ct, op.b, in[0], op.scalar, op.scalar_left, rows, cols,
+      kern::map_scalar(ct, op.b, in(0), op.scalar, op.scalar_left, rows, cols,
                        o, ostride);
       break;
     case node_kind::sweep_rowvec:
-      kern::sweep_rowvec(ct, op.b, in[0], op.small.data(), rows, cols, o,
+      kern::sweep_rowvec(ct, op.b, in(0), op.small.data(), rows, cols, o,
                          ostride);
       break;
     case node_kind::inner_prod:
-      kern::inner_prod(ct, op.b, op.a, in[0], rows,
-                       resolve(ch[0].get())->ncol(), op.small, o, ostride);
+      kern::inner_prod(ct, op.b, op.a, in(0), rows, c0.ncol, op.small, o,
+                       ostride);
       break;
     case node_kind::agg_row:
-      kern::agg_row(ct, op.a, op.return_index, in[0], rows,
-                    resolve(ch[0].get())->ncol(), o);
+      kern::agg_row(ct, op.a, op.return_index, in(0), rows, c0.ncol, o);
       break;
     case node_kind::cum_col: {
-      auto& carry = ctx.cum_carry[v];
-      kern::cum_col(ct, op.b, in[0], rows, cols, o, ostride, carry.data(),
+      auto& carry = ctx.cum_carry[static_cast<std::size_t>(id)];
+      kern::cum_col(ct, op.b, in(0), rows, cols, o, ostride, carry.data(),
                     ctx.cum_has_carry);
       break;
     }
     case node_kind::cum_row:
-      kern::cum_row(ct, op.b, in[0], rows, cols, o, ostride);
+      kern::cum_row(ct, op.b, in(0), rows, cols, o, ostride);
       break;
     case node_kind::cast_type:
-      kern::cast(ct, op.to_type, in[0], rows, cols, o, ostride);
+      kern::cast(ct, op.to_type, in(0), rows, cols, o, ostride);
       break;
     case node_kind::select_cols: {
       for (std::size_t j = 0; j < op.cols.size(); ++j) {
-        kern::view col{in[0].data + op.cols[j] * in[0].stride * v->elem_size(),
-                       in[0].stride};
-        kern::copy(ct, col, rows, 1, o + j * ostride * v->elem_size(),
-                   ostride);
+        kern::view col{in(0).data + op.cols[j] * in(0).stride * n.elem_size,
+                       in(0).stride};
+        kern::copy(ct, col, rows, 1, o + j * ostride * n.elem_size, ostride);
       }
       break;
     }
     case node_kind::groupby_col:
-      kern::groupby_col(ct, op.a, in[0], rows,
-                        resolve(ch[0].get())->ncol(), op.cols.data(),
+      kern::groupby_col(ct, op.a, in(0), rows, c0.ncol, op.cols.data(),
                         op.num_groups, o, ostride);
       break;
     case node_kind::cbind2: {
       std::size_t at = 0;
       for (std::size_t c = 0; c < ch.size(); ++c) {
-        const std::size_t w = resolve(ch[c].get())->ncol();
-        kern::copy(resolve(ch[c].get())->type(), in[c], rows, w,
-                   o + at * ostride * v->elem_size(), ostride);
-        at += w;
+        const node_entry& cn = dag_.nodes[static_cast<std::size_t>(ch[c])];
+        kern::copy(cn.type, in(c), rows, cn.ncol,
+                   o + at * ostride * n.elem_size, ostride);
+        at += cn.ncol;
       }
       break;
     }
@@ -1345,16 +1459,15 @@ void pass_runner::eval_virtual(thread_ctx& ctx, virtual_store* v,
     const std::uint64_t dt = now_ns() - k0;
     if (obs::metrics_on()) kernel_hist(op.kind).record(dt);
     if (prof_) {
-      const int slot = dag_.id_of(v);
-      prof_add(ctx, slot, pf_kernel, dt);
-      prof_add(ctx, slot, pf_rows, rows);
-      prof_add(ctx, slot, pf_bytes, rows * cols * v->elem_size());
-      prof_add(ctx, slot, pf_chunks, 1);
-      if (ctx.chunk_row0 == 0) prof_add(ctx, slot, pf_parts, 1);
+      prof_add(ctx, id, pf_kernel, dt);
+      prof_add(ctx, id, pf_rows, rows);
+      prof_add(ctx, id, pf_bytes, rows * cols * n.elem_size);
+      prof_add(ctx, id, pf_chunks, 1);
+      if (ctx.chunk_row0 == 0) prof_add(ctx, id, pf_parts, 1);
     }
   }
   out.v = kern::view{o, ostride};
-  for (const auto& c : ch) unref(ctx, c);
+  for (const int c : ch) unref(ctx, c);
 }
 
 void pass_runner::process_chunk(thread_ctx& ctx) {
@@ -1362,111 +1475,83 @@ void pass_runner::process_chunk(thread_ctx& ctx) {
   ++ctx.gen;
   // Tall outputs: evaluate and copy the chunk into the partition store.
   for (std::size_t i = 0; i < dag_.tall_outputs.size(); ++i) {
-    virtual_store* v = dag_.tall_outputs[i];
-    obs::sample_node_scope sample_scope(prof_id(v));
-    chunk_buf& cb = ensure(ctx, v->shared_from_this());
-    const std::size_t esz = v->elem_size();
+    const int id = dag_.tall_ids[i];
+    const node_entry& n = dag_.nodes[static_cast<std::size_t>(id)];
+    obs::sample_node_scope sample_scope(prof_id(id));
+    chunk_buf& cb = ensure(ctx, id);
     const bool ext = out_stores_[i]->kind() == store_kind::ext;
     // Zero-copy outputs skip the staging copy: the whole partition is
     // written verbatim from the (leased) EM read buffer at flush, and the
     // node's copy time stays literally zero.
-    if (!ext || ctx.zc_out[i] == nullptr) {
+    if (zc_out_[i] == nullptr) {
       // The output move is data plumbing, not compute: it lands on the
       // node's copy time, not its kernel time.
       const std::uint64_t c0 = prof_ ? now_ns() : 0;
       if (ext) {
-        char* dst = ctx.out_stage[v].data() + ctx.chunk_row0 * esz;
-        kern::copy(v->type(), cb.v, ctx.chunk_rows, v->ncol(), dst,
-                   ctx.part_rows);
+        char* dst = ctx.out_stage[i].data() + ctx.chunk_row0 * n.elem_size;
+        kern::copy(n.type, cb.v, ctx.chunk_rows, n.ncol, dst, ctx.part_rows);
       } else {
         auto* m = static_cast<mem_store*>(out_stores_[i].get());
-        char* dst = m->part_data(ctx.part) + ctx.chunk_row0 * esz;
-        kern::copy(v->type(), cb.v, ctx.chunk_rows, v->ncol(), dst,
+        char* dst = m->part_data(ctx.part) + ctx.chunk_row0 * n.elem_size;
+        kern::copy(n.type, cb.v, ctx.chunk_rows, n.ncol, dst,
                    m->part_stride(ctx.part));
       }
-      if (prof_) prof_add(ctx, dag_.id_of(v), pf_copy, now_ns() - c0);
+      if (prof_) prof_add(ctx, id, pf_copy, now_ns() - c0);
     }
-    unref(ctx, v->shared_from_this());
+    unref(ctx, id);
   }
 
   // Sinks: accumulate into this thread's partials.
   for (std::size_t s = 0; s < sinks_.size(); ++s) {
     // The sink's accumulate kernel samples attribute to the sink slot;
     // child evaluation inside ensure() re-scopes to the child's node.
-    obs::sample_node_scope sample_scope(
-        prof_ ? prof_nodes_[static_cast<std::size_t>(dag_.num_ids) + s].id
-              : -1);
-    virtual_store* v = sinks_[s].node;
-    const genop& op = v->op();
-    const auto& ch = v->children();
+    const int slot = static_cast<int>(dag_.nodes.size() + s);
+    obs::sample_node_scope sample_scope(prof_id(slot));
+    const node_entry& sn = dag_.nodes[static_cast<std::size_t>(sinks_[s].id)];
+    const genop& op = sn.virt()->op();
+    const std::vector<int>& ch = sn.children;
+    const node_entry& a = dag_.nodes[static_cast<std::size_t>(ch[0])];
     char* acc = ctx.sink_acc[s].data();
-    const scalar_type ct = resolve(ch[0].get())->type();
+    const scalar_type ct = a.type;
+    for (const int c : ch) ensure(ctx, c);
+    const kern::view& va = ctx.chunk[static_cast<std::size_t>(ch[0])].v;
     // Time ONLY the accumulate kernel: ensure() may evaluate the whole
     // virtual chain beneath the sink, and those kernels account their own
     // time — including them here would double-count.
-    std::uint64_t acc_ns = 0;
+    const std::uint64_t s0 = prof_ ? now_ns() : 0;
     switch (op.kind) {
-      case node_kind::s_agg_full: {
-        chunk_buf& a = ensure(ctx, ch[0]);
-        const std::uint64_t s0 = prof_ ? now_ns() : 0;
-        kern::agg_full_acc(ct, op.a, a.v, ctx.chunk_rows,
-                           resolve(ch[0].get())->ncol(), acc);
-        if (prof_) acc_ns = now_ns() - s0;
-        unref(ctx, ch[0]);
+      case node_kind::s_agg_full:
+        kern::agg_full_acc(ct, op.a, va, ctx.chunk_rows, a.ncol, acc);
         break;
-      }
-      case node_kind::s_agg_col: {
-        chunk_buf& a = ensure(ctx, ch[0]);
-        const std::uint64_t s0 = prof_ ? now_ns() : 0;
-        kern::agg_col_acc(ct, op.a, a.v, ctx.chunk_rows,
-                          resolve(ch[0].get())->ncol(), acc);
-        if (prof_) acc_ns = now_ns() - s0;
-        unref(ctx, ch[0]);
+      case node_kind::s_agg_col:
+        kern::agg_col_acc(ct, op.a, va, ctx.chunk_rows, a.ncol, acc);
         break;
-      }
       case node_kind::s_tmm: {
-        chunk_buf& a = ensure(ctx, ch[0]);
-        chunk_buf& b = ensure(ctx, ch[1]);
-        const std::uint64_t s0 = prof_ ? now_ns() : 0;
-        kern::tmm_acc(ct, op.b, op.a, a.v, b.v, ctx.chunk_rows,
-                      resolve(ch[0].get())->ncol(),
-                      resolve(ch[1].get())->ncol(), acc);
-        if (prof_) acc_ns = now_ns() - s0;
-        unref(ctx, ch[0]);
-        unref(ctx, ch[1]);
+        const node_entry& b = dag_.nodes[static_cast<std::size_t>(ch[1])];
+        kern::tmm_acc(ct, op.b, op.a, va,
+                      ctx.chunk[static_cast<std::size_t>(ch[1])].v,
+                      ctx.chunk_rows, a.ncol, b.ncol, acc);
         break;
       }
-      case node_kind::s_groupby_row: {
-        chunk_buf& a = ensure(ctx, ch[0]);
-        chunk_buf& lab = ensure(ctx, ch[1]);
-        const std::uint64_t s0 = prof_ ? now_ns() : 0;
-        kern::groupby_row_acc(ct, op.a, a.v, lab.v, ctx.chunk_rows,
-                              resolve(ch[0].get())->ncol(), op.num_groups,
-                              acc);
-        if (prof_) acc_ns = now_ns() - s0;
-        unref(ctx, ch[0]);
-        unref(ctx, ch[1]);
+      case node_kind::s_groupby_row:
+        kern::groupby_row_acc(ct, op.a, va,
+                              ctx.chunk[static_cast<std::size_t>(ch[1])].v,
+                              ctx.chunk_rows, a.ncol, op.num_groups, acc);
         break;
-      }
-      case node_kind::s_count_groups: {
-        chunk_buf& lab = ensure(ctx, ch[0]);
-        const std::uint64_t s0 = prof_ ? now_ns() : 0;
-        kern::count_groups_acc(lab.v, ctx.chunk_rows, op.num_groups,
+      case node_kind::s_count_groups:
+        kern::count_groups_acc(va, ctx.chunk_rows, op.num_groups,
                                reinterpret_cast<std::int64_t*>(acc));
-        if (prof_) acc_ns = now_ns() - s0;
-        unref(ctx, ch[0]);
         break;
-      }
       default:
         FLASHR_ASSERT(false, "aligned node in sink list");
     }
     if (prof_) {
-      const int slot = dag_.num_ids + static_cast<int>(s);
-      prof_add(ctx, slot, pf_kernel, acc_ns);
+      prof_add(ctx, slot, pf_kernel, now_ns() - s0);
       prof_add(ctx, slot, pf_rows, ctx.chunk_rows);
       prof_add(ctx, slot, pf_chunks, 1);
       if (ctx.chunk_row0 == 0) prof_add(ctx, slot, pf_parts, 1);
     }
+    for (const int c : ch) unref(ctx, c);
   }
 
   // Every owned buffer must have been recycled by its last consumer.
@@ -1537,18 +1622,8 @@ resource_governor::footprint estimate_footprint(const dag_info& dag,
   // Window reads plus one claimed partition per worker.
   fp.bytes += (d + threads) * leaf_part_bytes;
 
-  // Chunk evaluation state: every node that owns a chunk buffer (virtual
-  // and generated; mem/ext leaves are views into existing storage).
-  const std::size_t crows =
-      chunk_rows == 0 ? dag.space.part_rows : chunk_rows;
-  std::size_t node_row_bytes = 0;
-  for (const auto& [node, id] : dag.ids) {
-    (void)id;
-    if (node->kind() == store_kind::mem || node->kind() == store_kind::ext)
-      continue;
-    node_row_bytes += node->ncol() * node->elem_size();
-  }
-  fp.bytes += threads * crows * node_row_bytes;
+  // Chunk evaluation state: one buffer per chunk-owning node per worker.
+  fp.bytes += threads * worker_chunk_bytes(dag, chunk_rows, false);
 
   // EM outputs: one staged partition per worker, plus the write-behind
   // allowance (bounded by conf, or one more partition per worker unbounded).
@@ -1581,6 +1656,14 @@ struct degraded_scope {
   degraded_scope(const degraded_scope&) = delete;
   degraded_scope& operator=(const degraded_scope&) = delete;
   bool on_;
+};
+
+/// The ladder ran out of rungs: the pass cannot fit its budget even fully
+/// degraded. Only this rejection retries the call node-at-a-time; a
+/// fail-fast "busy" one is not about the pass's size.
+class exhausted_error final : public overload_error {
+ public:
+  using overload_error::overload_error;
 };
 
 /// Admit one pass, walking the degradation ladder until its footprint fits
@@ -1645,7 +1728,7 @@ resource_governor::reservation admit_with_degradation(const dag_info& dag,
         obs::incident_request(
             obs::incident_kind::governor_overload,
             "footprint exceeds the memory budget even fully degraded");
-        throw overload_error(
+        throw exhausted_error(
             "pass footprint exceeds the memory budget even fully degraded",
             ctl.pass_id, fp.bytes, conf().mem_budget_bytes);
       }
@@ -1662,7 +1745,7 @@ resource_governor::reservation admit_with_degradation(const dag_info& dag,
       obs::incident_request(
           obs::incident_kind::governor_overload,
           "footprint exceeds the resource budget even fully degraded");
-      throw overload_error(
+      throw exhausted_error(
           "pass footprint exceeds the resource budget even fully degraded",
           ctl.pass_id, mem_exceeded ? fp.bytes : fp.inflight_io,
           mem_exceeded ? conf().mem_budget_bytes : conf().max_inflight_io);
@@ -1834,7 +1917,7 @@ void materialize(const std::vector<matrix_store::ptr>& targets, storage st,
     case exec_mode::cache_fuse:
       try {
         run_fused(dag, st, ctl.mode == exec_mode::cache_fuse, ctl);
-      } catch (const overload_error&) {
+      } catch (const exhausted_error&) {
         // The fused pass cannot fit the budget even fully degraded, but
         // admission precedes execution, so nothing ran: the final ladder
         // rung retries node-at-a-time (eager) passes, whose sub-DAGs are

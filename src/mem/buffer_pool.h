@@ -163,6 +163,11 @@ class buffer_pool {
   /// Number of buffers currently cached on free lists (for tests).
   std::size_t cached_count() const;
 
+  /// Bytes a request of `bytes` occupies: its power-of-two size class.
+  static std::size_t class_size(std::size_t bytes) {
+    return std::size_t{1} << (class_of(bytes) + kMinClassLog2);
+  }
+
   /// Process-wide pool shared by the engine.
   static buffer_pool& global();
 

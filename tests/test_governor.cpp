@@ -314,6 +314,42 @@ TEST_F(GovernorTest, FailFastRejectsContendedAdmissionImmediately) {
   hog.release();
 }
 
+// A fail-fast "busy" rejection is not a size rejection: a multi-node DAG
+// must not fall back to node-at-a-time passes (which would record a mode
+// step that never ran, then fail fast again). One overload_error, one
+// reject, no degrade step.
+TEST_F(GovernorTest, FailFastBusyDoesNotFallBackToEager) {
+  init_with();
+  dense_matrix x = make_em_input();
+  mutable_conf().mem_budget_bytes = 100000;
+  mutable_conf().governor_fail_fast = true;
+
+  auto& gov = exec::resource_governor::global();
+  exec::resource_governor::reservation hog;
+  exec::resource_governor::footprint fp;
+  fp.bytes = 95000;
+  ASSERT_EQ(gov.try_admit(fp, hog), exec::resource_governor::verdict::admitted);
+
+  const std::uint64_t rejects0 = metric("governor.rejects");
+  const std::uint64_t steps0 = metric("governor.degrade_steps");
+  dense_matrix y = (x + 1.0) * 2.0;
+  int thrown = 0;
+  try {
+    y.materialize(storage::in_mem);
+  } catch (const overload_error& e) {
+    ++thrown;
+    EXPECT_NE(std::string(e.what()).find("fail-fast"), std::string::npos);
+  }
+  hog.release();
+  EXPECT_EQ(thrown, 1);
+  EXPECT_EQ(metric("governor.rejects") - rejects0, 1u);
+  EXPECT_EQ(metric("governor.degrade_steps"), steps0);
+  const exec::pass_stats st = exec::last_pass_stats();
+  EXPECT_EQ(st.degrade_steps, 0u);
+  EXPECT_EQ(st.degrade_path, "");
+  EXPECT_EQ(st.passes, 0u);
+}
+
 // While a pass is genuinely queued for budget, /healthz flips to 503 with a
 // JSON reason; it recovers to 200 once the queue drains. The queued pass
 // completes with exact results and records its admission wait.

@@ -7,13 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 
+#include "common/check.h"
 #include "common/config.h"
+#include "common/error.h"
 #include "core/dense_matrix.h"
 #include "core/exec.h"
+#include "io/fault.h"
 #include "io/safs.h"
+#include "mem/buffer_pool.h"
 #include "mem/numa.h"
 #include "ml/stats.h"
+#include "obs/explain.h"
 
 namespace flashr {
 namespace {
@@ -274,6 +280,181 @@ TEST_F(PropertyTest, ConvStoreRoundTrips) {
   dense_matrix em = conv_store(a, storage::ext_mem);
   dense_matrix back = conv_store(em, storage::in_mem);
   EXPECT_EQ(back.to_smat().max_abs_diff(a.to_smat()), 0.0);
+}
+
+// ---------------------------------------------------------------------------
+// Worker-local chunk-buffer recycling (DESIGN.md §3.1, paper §3.5.1)
+// ---------------------------------------------------------------------------
+
+/// The logistic objective's shape: a narrow chain of ten element-wise nodes
+/// over an n x 1 column, plus a 40-wide cbind(X, constant) feeding a
+/// crossprod sink. Chunk buffers of two widths (the n x 1 chain and
+/// generated constant, the 40-wide cbind), and a short tail chunk per
+/// partition that needs smaller size classes.
+class ExecRecycling : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kN = 5000;
+  static constexpr std::size_t kPartRows = 512;  // 10 partitions, short tail
+  static constexpr std::size_t kCols = 40;       // cbind(X, 1)
+
+  void init_with(int threads, exec_mode mode, std::size_t pcache_bytes) {
+    options o;
+    o.em_dir = "/tmp/flashr_test_em";
+    o.num_threads = threads;
+    o.io_part_rows = kPartRows;
+    o.pcache_bytes = pcache_bytes;
+    o.small_nrow_threshold = 16;
+    o.mode = mode;
+    init(o);
+    fault_injector::global().clear();
+  }
+  void TearDown() override { fault_injector::global().clear(); }
+
+  struct inputs {
+    dense_matrix X, m;
+  };
+  static inputs make_inputs(storage st) {
+    return {conv_store(dense_matrix::rnorm(kN, kCols - 1, 0.0, 1.0, 11), st),
+            conv_store(dense_matrix::runif(kN, 1, -2.0, 2.0, 12), st)};
+  }
+
+  /// {sum(chain), crossprod(cbind(X, 1), chain)}.
+  static std::vector<dense_matrix> make_dag(const inputs& in) {
+    dense_matrix r = in.m * 0.5;
+    r = r + 1.0;
+    r = abs(r);
+    r = sqrt(r);
+    r = r - 0.25;
+    r = square(r);
+    r = r * in.m;
+    r = exp(-r);
+    r = log1p(r);
+    r = pmax(r, 0.1);
+    const dense_matrix Xi =
+        cbind({in.X, dense_matrix::constant(kN, 1, 1.0)});
+    return {sum(r), crossprod(Xi, r)};
+  }
+
+  struct result {
+    double total = 0;
+    smat grad;
+  };
+  static result run(const std::vector<dense_matrix>& dag) {
+    materialize_all(dag);
+    return {dag[0].scalar(), dag[1].to_smat()};
+  }
+  static void expect_identical(const result& got, const result& want) {
+    EXPECT_EQ(got.total, want.total);
+    ASSERT_EQ(got.grad.nrow(), want.grad.nrow());
+    for (std::size_t i = 0; i < want.grad.nrow(); ++i)
+      EXPECT_EQ(got.grad(i, 0), want.grad(i, 0)) << "row " << i;
+  }
+
+  /// estimate_footprint()'s per-worker chunk term, each buffer rounded to
+  /// its pool size class: one `rows`-tall buffer per plan node that owns
+  /// chunks (mem/ext leaves are views).
+  static std::size_t worker_chunk_cap(const std::vector<dense_matrix>& dag,
+                                      std::size_t rows) {
+    std::vector<matrix_store::ptr> targets;
+    for (const dense_matrix& d : dag) targets.push_back(d.store());
+    std::size_t cap = 0;
+    for (const obs::plan_node& n : obs::summarize(targets).nodes) {
+      const store_kind k = n.store->kind();
+      if (k == store_kind::mem || k == store_kind::ext) continue;
+      cap += buffer_pool::class_size(rows * n.ncol * n.store->elem_size());
+    }
+    return cap;
+  }
+};
+
+// Bit-identical across chunk rows {16, the pcache default, whole partition},
+// threads {1, 2, 4} and the three exec modes; in the fused modes the pool's
+// peak over the pass stays within every worker's chunk term, and every pass
+// brings the pool's outstanding count back to its baseline.
+TEST_F(ExecRecycling, BitIdenticalAndBoundedAcrossConfigs) {
+  const std::size_t kDefaultPcache = options{}.pcache_bytes;
+  const std::size_t pcaches[] = {16 * kCols * sizeof(double), kDefaultPcache,
+                                 std::size_t{1} << 30};
+  std::optional<result> golden;
+  for (exec_mode mode :
+       {exec_mode::cache_fuse, exec_mode::mem_fuse, exec_mode::eager}) {
+    for (int threads : {1, 2, 4}) {
+      for (std::size_t pcache : pcaches) {
+        SCOPED_TRACE(std::string(exec_mode_name(mode)) + " threads=" +
+                     std::to_string(threads) +
+                     " pcache=" + std::to_string(pcache));
+        init_with(threads, mode, pcache);
+        const inputs in = make_inputs(storage::in_mem);
+        buffer_pool& pool = buffer_pool::global();
+        const std::size_t count0 = pool.outstanding_count();
+        {
+          const std::vector<dense_matrix> dag = make_dag(in);
+          const std::size_t rows =
+              mode == exec_mode::cache_fuse
+                  ? exec::pcache_rows(kCols, kPartRows, sizeof(double))
+                  : kPartRows;
+          const std::size_t cap = worker_chunk_cap(dag, rows);
+          const std::size_t base = pool.outstanding_bytes();
+          pool.reset_peak();
+          const result r = run(dag);
+          if (mode != exec_mode::eager) {
+            EXPECT_LE(pool.peak_bytes() - base,
+                      static_cast<std::size_t>(threads) * cap);
+          }
+          if (!golden)
+            golden = r;
+          else
+            expect_identical(r, *golden);
+        }
+        EXPECT_EQ(pool.outstanding_count(), count0);
+      }
+    }
+  }
+}
+
+// A pass cancelled mid-flight (deadline over slow EM reads) returns every
+// worker's live and spare chunk buffers to the pool.
+TEST_F(ExecRecycling, CancelledPassReturnsEverySpare) {
+  init_with(4, exec_mode::cache_fuse, 16 * kCols * sizeof(double));
+  const inputs in = make_inputs(storage::ext_mem);
+  buffer_pool& pool = buffer_pool::global();
+  const std::size_t count0 = pool.outstanding_count();
+  const std::size_t bytes0 = pool.outstanding_bytes();
+  {
+    fault_plan p;
+    p.seed = 93;
+    p.latency_prob = 1.0;
+    p.latency_us = 5000;  // 20 partition reads on 2 I/O threads: >= 50 ms
+    fault_scope scope(p);
+    exec::materialize_opts opts;
+    opts.deadline_ms = 20;
+    std::vector<matrix_store::ptr> targets;
+    for (const dense_matrix& d : make_dag(in)) targets.push_back(d.store());
+    EXPECT_THROW(exec::materialize(targets, storage::in_mem, opts),
+                 timeout_error);
+  }
+  EXPECT_EQ(pool.outstanding_count(), count0);
+  EXPECT_EQ(pool.outstanding_bytes(), bytes0);
+
+  // The engine is reusable and exact afterwards.
+  init_with(4, exec_mode::cache_fuse, 16 * kCols * sizeof(double));
+  const result want = run(make_dag(make_inputs(storage::in_mem)));
+  expect_identical(run(make_dag(in)), want);
+}
+
+// Under the invariant validator every chunk buffer goes straight back to
+// the pool (poisoned, use-after-return checked); results are unchanged.
+TEST_F(ExecRecycling, ValidatorRunBypassesTheSpares) {
+  init_with(4, exec_mode::cache_fuse, 16 * kCols * sizeof(double));
+  const inputs in = make_inputs(storage::in_mem);
+  const result want = run(make_dag(in));
+  buffer_pool& pool = buffer_pool::global();
+  const std::size_t count0 = pool.outstanding_count();
+  {
+    invariant_scope on;
+    expect_identical(run(make_dag(in)), want);
+  }
+  EXPECT_EQ(pool.outstanding_count(), count0);
 }
 
 }  // namespace
