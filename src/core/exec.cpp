@@ -2,23 +2,18 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
-#include <cinttypes>
-#include <cstdio>
 #include <cstring>
-#include <future>
 #include <map>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/check.h"
 #include "common/error.h"
-#include "common/log.h"
 #include "common/thread_safety.h"
 #include "common/timer.h"
 #include "core/governor.h"
 #include "core/kernels.h"
+#include "core/plan.h"
 #include "core/prefetch_pipeline.h"
 #include "core/validate.h"
 #include "core/virtual_store.h"
@@ -27,7 +22,6 @@
 #include "matrix/generated_store.h"
 #include "matrix/mem_store.h"
 #include "mem/numa.h"
-#include "obs/explain.h"
 #include "obs/incident.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
@@ -39,280 +33,6 @@
 namespace flashr::exec {
 
 namespace {
-
-/// Follow a store through its materialized result, if any.
-const matrix_store* resolve(const matrix_store* s) {
-  if (s->kind() == store_kind::virt) {
-    auto* v = static_cast<const virtual_store*>(s);
-    if (auto r = v->result()) {
-      // Results are physical; one level of indirection suffices.
-      return resolve(r.get());
-    }
-  }
-  return s;
-}
-
-/// Whether a (resolved) store still needs computing.
-bool is_pending(const matrix_store* s) {
-  return resolve(s)->kind() == store_kind::virt;
-}
-
-// ---------------------------------------------------------------------------
-// DAG collection
-// ---------------------------------------------------------------------------
-
-/// One node of a pass's chunk state, resolved once at plan time so the
-/// chunk loop indexes flat arrays: no resolve() (which takes the node's
-/// result mutex), no hashing of store pointers, per chunk.
-struct node_entry {
-  const matrix_store* store = nullptr;  ///< resolved store
-  store_kind kind = store_kind::mem;
-  scalar_type type = scalar_type::f64;
-  std::size_t ncol = 0;
-  std::size_t elem_size = 0;
-  /// Edges from collected parents, +1 per output writer. A chunk buffer is
-  /// recycled when its count reaches zero.
-  int consumers = 0;
-  /// Ids of the resolved children (virtual nodes only).
-  std::vector<int> children;
-
-  const virtual_store* virt() const {
-    return static_cast<const virtual_store*>(store);
-  }
-  /// Whether the node's chunks live in a buffer the pass owns (virtual
-  /// and generated); mem/ext leaves are views into existing storage.
-  bool owns_chunk() const {
-    return kind != store_kind::mem && kind != store_kind::ext;
-  }
-};
-
-struct dag_info {
-  /// All pending virtual nodes, topologically ordered (children first).
-  std::vector<virtual_store*> order;
-  /// Every node touched during a chunk (leaves, pending nodes, sinks), by
-  /// dense id. Built by collect(); read-only during the pass.
-  std::vector<node_entry> nodes;
-  /// Plan-time lookup from a resolved store to its dense id.
-  std::unordered_map<const matrix_store*, int> ids;
-  /// Ids of the mem/ext leaves, whose per-partition views each worker
-  /// resolves once per claimed partition.
-  std::vector<int> leaf_ids;
-
-  int id_of(const matrix_store* s) const {
-    auto it = ids.find(s);
-    FLASHR_ASSERT(it != ids.end(), "node without a chunk id");
-    return it->second;
-  }
-  /// Partition-aligned nodes whose data must be written out (targets and
-  /// set.cache'd intermediates).
-  std::vector<virtual_store*> tall_outputs;
-  /// Ids of tall_outputs, in the same order.
-  std::vector<int> tall_ids;
-  /// Requested (as opposed to cache-flag-only) tall outputs: these honour
-  /// the caller's storage; cache-only nodes use their own cache_storage.
-  std::unordered_set<const virtual_store*> requested_talls;
-  /// Sink targets.
-  std::vector<virtual_store*> sinks;
-  /// The shared partition space of the DAG.
-  part_geom space{0, 1, 1};
-  bool space_set = false;
-  /// Distinct external-memory leaves (for prefetching).
-  std::vector<const em_readable*> em_leaves;
-  std::size_t max_ncol = 1;
-  /// Widest element in the DAG (bytes); sizes Pcache chunks so an all-i32
-  /// DAG gets twice the rows of an f64 one instead of assuming 8 B.
-  std::size_t max_elem = 1;
-  bool has_cum = false;
-};
-
-/// The dense id of resolved store `s`, entering it into the node table on
-/// first sight.
-int intern(dag_info& dag, const matrix_store* s) {
-  const auto [it, fresh] =
-      dag.ids.emplace(s, static_cast<int>(dag.nodes.size()));
-  if (fresh) {
-    node_entry e;
-    e.store = s;
-    e.kind = s->kind();
-    e.type = s->type();
-    e.ncol = s->ncol();
-    e.elem_size = s->elem_size();
-    dag.nodes.push_back(std::move(e));
-    if (!dag.nodes.back().owns_chunk()) dag.leaf_ids.push_back(it->second);
-  }
-  return it->second;
-}
-
-void note_space(dag_info& dag, const matrix_store* s) {
-  if (!dag.space_set) {
-    dag.space = part_geom{s->nrow(), s->ncol(), s->geom().part_rows};
-    dag.space_set = true;
-  } else {
-    FLASHR_CHECK_SHAPE(
-        dag.space.nrow == s->nrow() &&
-            dag.space.part_rows == s->geom().part_rows,
-        "matrices in one DAG must share the partition dimension");
-  }
-  dag.max_ncol = std::max(dag.max_ncol, s->ncol());
-  dag.max_elem = std::max(dag.max_elem, s->elem_size());
-}
-
-void collect_node(dag_info& dag, const matrix_store::ptr& store,
-                  std::unordered_set<const matrix_store*>& visited);
-
-/// Count one edge into `child` and collect it; returns the child's id.
-int collect_child(dag_info& dag, const matrix_store::ptr& child,
-                  std::unordered_set<const matrix_store*>& visited) {
-  const matrix_store* r = resolve(child.get());
-  const int id = intern(dag, r);
-  ++dag.nodes[static_cast<std::size_t>(id)].consumers;
-  if (r->kind() == store_kind::virt) {
-    collect_node(dag, child, visited);
-  } else {
-    // Leaf in the tall space.
-    note_space(dag, r);
-    if (r->kind() == store_kind::ext)
-      dag.em_leaves.push_back(static_cast<const em_readable*>(r));
-  }
-  return id;
-}
-
-void collect_node(dag_info& dag, const matrix_store::ptr& store,
-                  std::unordered_set<const matrix_store*>& visited) {
-  const matrix_store* r = resolve(store.get());
-  if (r->kind() != store_kind::virt) return;
-  if (!visited.insert(r).second) return;
-  auto* v = const_cast<virtual_store*>(static_cast<const virtual_store*>(r));
-  const auto id = static_cast<std::size_t>(intern(dag, r));
-  FLASHR_CHECK(!v->is_sink_node() || dag.nodes[id].consumers == 0,
-               "internal: sink used as DAG input (materialize it first)");
-  std::vector<int> children;
-  for (const auto& child : v->children())
-    children.push_back(collect_child(dag, child, visited));
-  dag.nodes[id].children = std::move(children);
-  if (!v->is_sink_node()) note_space(dag, v);
-  if (v->op().kind == node_kind::cum_col) dag.has_cum = true;
-  dag.order.push_back(v);  // children pushed first -> topological
-}
-
-dag_info collect(const std::vector<matrix_store::ptr>& targets) {
-  dag_info dag;
-  std::unordered_set<const matrix_store*> visited;
-  std::unordered_set<const virtual_store*> outputs_seen;
-  for (const auto& t : targets) {
-    if (!t || !is_pending(t.get())) continue;
-    collect_node(dag, t, visited);
-  }
-  // Classify outputs: requested targets plus cache-flagged intermediates.
-  auto add_output = [&](virtual_store* v) {
-    if (!outputs_seen.insert(v).second) return;
-    if (v->is_sink_node()) {
-      dag.sinks.push_back(v);
-    } else {
-      const int id = dag.id_of(v);
-      dag.tall_outputs.push_back(v);
-      dag.tall_ids.push_back(id);
-      // The output writer consumes the node's chunks.
-      ++dag.nodes[static_cast<std::size_t>(id)].consumers;
-    }
-  };
-  for (const auto& t : targets) {
-    if (!t || !is_pending(t.get())) continue;
-    auto* v = static_cast<virtual_store*>(
-        const_cast<matrix_store*>(resolve(t.get())));
-    add_output(v);
-    if (!v->is_sink_node()) dag.requested_talls.insert(v);
-  }
-  for (virtual_store* v : dag.order)
-    if (v->cache_flag() && !v->has_result()) add_output(v);
-  // Deduplicate EM leaves.
-  std::sort(dag.em_leaves.begin(), dag.em_leaves.end());
-  dag.em_leaves.erase(
-      std::unique(dag.em_leaves.begin(), dag.em_leaves.end()),
-      dag.em_leaves.end());
-  if (!dag.space_set && !dag.order.empty())
-    throw_error("cannot infer the partition space of an empty DAG");
-  return dag;
-}
-
-/// Bytes of chunk evaluation state one worker holds at most: one buffer of
-/// `chunk_rows` rows per node that owns chunks. `size_class` charges each
-/// buffer at the pool size class it actually occupies.
-std::size_t worker_chunk_bytes(const dag_info& dag, std::size_t chunk_rows,
-                               bool size_class) {
-  const std::size_t rows = chunk_rows == 0 ? dag.space.part_rows : chunk_rows;
-  std::size_t bytes = 0;
-  for (const node_entry& n : dag.nodes) {
-    if (!n.owns_chunk()) continue;
-    const std::size_t b = rows * n.ncol * n.elem_size;
-    bytes += size_class ? buffer_pool::class_size(b) : b;
-  }
-  return bytes;
-}
-
-// ---------------------------------------------------------------------------
-// Sink accumulation state
-// ---------------------------------------------------------------------------
-
-struct sink_desc {
-  virtual_store* node = nullptr;
-  int id = -1;  ///< the sink's dense id (its children are in the node table)
-  std::size_t out_rows = 0;
-  std::size_t out_cols = 0;
-  /// Elements in a partial accumulator. Usually out_rows*out_cols, but the
-  /// full aggregate carries one accumulator per input column until the
-  /// final agg_finish so its fold order is chunk-size independent.
-  std::size_t acc_elems = 0;
-  scalar_type out_type = scalar_type::f64;
-  agg_id merge_op = agg_id::sum;
-};
-
-sink_desc describe_sink(const dag_info& dag, virtual_store* v) {
-  sink_desc d;
-  d.node = v;
-  d.id = dag.id_of(v);
-  const genop& op = v->op();
-  const matrix_store* a = resolve(v->children().at(0).get());
-  switch (op.kind) {
-    case node_kind::s_agg_full:
-      d.out_rows = 1;
-      d.out_cols = 1;
-      d.out_type = a->type();
-      d.merge_op = op.a;
-      break;
-    case node_kind::s_agg_col:
-      d.out_rows = 1;
-      d.out_cols = a->ncol();
-      d.out_type = a->type();
-      d.merge_op = op.a;
-      break;
-    case node_kind::s_tmm: {
-      const matrix_store* b = resolve(v->children().at(1).get());
-      d.out_rows = a->ncol();
-      d.out_cols = b->ncol();
-      d.out_type = a->type();
-      d.merge_op = op.a;
-      break;
-    }
-    case node_kind::s_groupby_row:
-      d.out_rows = op.num_groups;
-      d.out_cols = a->ncol();
-      d.out_type = a->type();
-      d.merge_op = op.a;
-      break;
-    case node_kind::s_count_groups:
-      d.out_rows = op.num_groups;
-      d.out_cols = 1;
-      d.out_type = scalar_type::i64;
-      d.merge_op = agg_id::sum;
-      break;
-    default:
-      FLASHR_ASSERT(false, "not a sink");
-  }
-  d.acc_elems = d.out_rows * d.out_cols;
-  if (op.kind == node_kind::s_agg_full) d.acc_elems = a->ncol();
-  return d;
-}
 
 // ---------------------------------------------------------------------------
 // Cumulative-op carry chains (§3.3, operation class j)
@@ -369,77 +89,13 @@ struct cum_chain {
 // The fused pass
 // ---------------------------------------------------------------------------
 
-struct pass_config {
-  storage st = storage::in_mem;
-  std::size_t chunk_rows = 0;  // 0 = whole partition (mem_fuse)
-  /// Prefetch depth for this pass; -1 = the conf() default. The governor's
-  /// degradation ladder shrinks this below the configured depth to fit the
-  /// memory budget.
-  long prefetch_depth = -1;
-};
-
 /// Guards the published last_pass_stats() snapshot, the list of live calls,
 /// and the fields of a live call that active_passes_json() reads while the
 /// call runs (see pass_ctl).
 mutex g_stats_mutex LOCK_RANK(pass_stats);
 
-/// One materialize() call, threaded through every pass it runs: its limits
-/// and the one pass_stats record each pass adds into. It lives in
-/// materialize()'s frame and sits in g_active from registration until the
-/// call publishes its stats. The header fields are fixed before
-/// registration. Passes write `stats` on the calling thread; the fields
-/// active_passes_json() reads while the call runs (degrade_path,
-/// admission_waits) are written under g_stats_mutex.
-struct pass_ctl {
-  std::uint64_t pass_id = 0;     ///< global materialize() sequence number
-  std::uint64_t start_ns = 0;
-  std::uint64_t deadline_ms = 0; ///< effective (opts override or conf)
-  std::uint64_t deadline_ns = 0; ///< absolute now_ns() instant; 0 = none
-  std::uint64_t stall_ms = 0;    ///< conf().watchdog_stall_ms
-  exec_mode mode = exec_mode::cache_fuse;
-  pass_stats stats;
-  /// Prefetch-window occupancy samples of every pass so far;
-  /// stats.occupancy_x100 is their running mean.
-  std::uint64_t occupancy_sum = 0;
-  std::uint64_t pops = 0;
-  /// Profiling only: every store of the pending DAG mapped to its
-  /// obs::summarize() plan node (id, group, estimate). Result stores join
-  /// under their node's entry as passes assign them, so an eager follow-up
-  /// pass that reads a result as a leaf still attributes to the node the
-  /// plan named.
-  std::unordered_map<const matrix_store*, obs::node_profile> plan;
-
-  /// Give a result store its node's plan entry (no-op unless profiling).
-  void alias_plan(const matrix_store* result, const matrix_store* node) {
-    auto it = plan.find(node);
-    if (it == plan.end()) return;
-    const obs::node_profile n = it->second;
-    plan.emplace(result, n);
-  }
-
-  /// Record one degradation-ladder step.
-  void degrade(const std::string& step) {
-    {
-      mutex_lock lock(g_stats_mutex);
-      if (!stats.degrade_path.empty()) stats.degrade_path += ',';
-      stats.degrade_path += step;
-      ++stats.degrade_steps;
-    }
-    resource_governor::global().count_degrade_step();
-  }
-};
-
 /// Ids for error payloads and /passes correlation.
 std::atomic<std::uint64_t> g_pass_id{0};
-
-/// The conf()-derived prefetch depth (the formula of build_pipelines,
-/// before any NUMA split) — the top rung of the degradation ladder.
-long default_prefetch_depth() {
-  return conf().prefetch_depth < 0
-             ? 2 * static_cast<long>(conf().io_threads) *
-                   static_cast<long>(conf().dispatch_batch)
-             : static_cast<long>(conf().prefetch_depth);
-}
 
 /// Per-chunk evaluation state for one node. Entries live in a flat array
 /// indexed by the node's dense id; `gen` marks which chunk the entry belongs
@@ -453,11 +109,14 @@ struct chunk_buf {
 
 class pass_runner {
  public:
-  pass_runner(dag_info& dag, pass_config cfg, pass_ctl& ctl)
+  /// `plan` is the call's top-level plan: `dag` itself for a fused pass,
+  /// the plan an eager sub-pass was cut from otherwise.
+  pass_runner(dag_info& dag, const dag_info& plan, pass_config cfg,
+              pass_ctl& ctl)
       : dag_(dag), cfg_(cfg), ctl_(ctl) {
     allocate_outputs();
     init_cum_chains();
-    prof_init();
+    prof_init(plan);
     // Output stores (mem_store partitions) legitimately keep pool buffers
     // beyond the pass; everything acquired after this point must come home.
     pool_baseline_count_ = buffer_pool::global().outstanding_count();
@@ -506,7 +165,7 @@ class pass_runner {
     /// before em_bufs.
     std::unordered_map<const em_readable*, pool_lease> em_leases;
     /// Staging buffers for EM outputs of the current partition, parallel to
-    /// dag_.tall_outputs.
+    /// dag_.tall_ids.
     std::vector<pool_buffer> out_stage;
     /// Current chunk geometry.
     std::size_t part = 0;
@@ -526,7 +185,7 @@ class pass_runner {
   /// value — v is an identity cast over an ext leaf of identical geometry,
   /// so the bytes read are exactly the bytes to write — or null when the
   /// output needs a staging copy.
-  const em_readable* zero_copy_source(const virtual_store* v) const;
+  const em_readable* zero_copy_source(int id) const;
   void eval_virtual(thread_ctx& ctx, int id, chunk_buf& out);
   /// A chunk buffer of `bytes`: the worker's most recent spare of the same
   /// size class, else a pool buffer (evicting the oldest spares first so the
@@ -553,12 +212,10 @@ class pass_runner {
   /// Field layout of one profiling slot's accumulators.
   enum prof_field { pf_kernel = 0, pf_copy, pf_io, pf_parts, pf_rows,
                     pf_bytes, pf_chunks, kProfFields };
-  /// Resolve the pass's profiling slots against the call's plan map: dense
-  /// dag ids first, then one slot per sink (sink targets have no dense id —
-  /// nothing consumes them).
-  void prof_init();
-  /// Plan id of profiling slot `id` (a node id, or a sink's slot) for
-  /// sampler attribution; -1 (no node) when profiling is off.
+  /// Arm one profiling slot per node, named by the node's id in `plan`.
+  void prof_init(const dag_info& plan);
+  /// Plan id of node `id` for sampler attribution; -1 (no node) when
+  /// profiling is off.
   int prof_id(int id) const {
     return prof_ ? prof_nodes_[static_cast<std::size_t>(id)].id : -1;
   }
@@ -585,7 +242,7 @@ class pass_runner {
   std::atomic<bool> cancel_{false};
   mutex error_mutex_ LOCK_RANK(pass_error);
   std::exception_ptr pass_error_ GUARDED_BY(error_mutex_);
-  /// Output stores, parallel to dag_.tall_outputs.
+  /// Output stores, parallel to dag_.tall_ids.
   std::vector<matrix_store::ptr> out_stores_;
   /// Per tall output: the EM leaf whose read buffer is written verbatim as
   /// each partition of an EM output (zero-copy), or null for the staged
@@ -620,11 +277,10 @@ class pass_runner {
   /// (validate::audit_pool) asserts the pass returned to this baseline.
   std::size_t pool_baseline_count_ = 0;
   /// Profiling state, armed at construction when obs::profile_on().
-  /// prof_nodes_ holds each slot's identity (plan id, label, group,
+  /// prof_nodes_ holds each node's identity (plan id, label, group,
   /// estimate) and is read-only during the pass; prof_acc_ is the lock-free
   /// merge target workers fetch_add into as they finish.
   bool prof_ = false;
-  std::size_t prof_slots_ = 0;
   std::vector<obs::node_profile> prof_nodes_;
   std::vector<std::atomic<std::uint64_t>> prof_acc_;
   std::uint64_t prof_t0_ = 0;
@@ -725,21 +381,20 @@ void register_pass_probes() {
 }
 
 void pass_runner::allocate_outputs() {
-  for (virtual_store* v : dag_.tall_outputs) {
+  for (std::size_t i = 0; i < dag_.tall_ids.size(); ++i) {
+    const virtual_store* v = dag_.virt(dag_.tall_ids[i]);
     const part_geom& g = v->geom();
-    const storage st =
-        dag_.requested_talls.count(v) ? cfg_.st : v->cache_storage();
-    if (st == storage::ext_mem) {
+    if (dag_.output_storage(i, cfg_.st) == storage::ext_mem) {
       out_stores_.push_back(
           em_store::create(g.nrow, g.ncol, v->type(), g.part_rows));
-      zc_out_.push_back(zero_copy_source(v));
+      zc_out_.push_back(zero_copy_source(dag_.tall_ids[i]));
     } else {
       out_stores_.push_back(
           mem_store::create(g.nrow, g.ncol, v->type(), g.part_rows));
       zc_out_.push_back(nullptr);
     }
   }
-  for (virtual_store* v : dag_.sinks) sinks_.push_back(describe_sink(dag_, v));
+  for (const int id : dag_.sink_ids) sinks_.push_back(describe_sink(dag_, id));
   recycle_ = !invariants_enabled();
   chunk_cap_ = worker_chunk_bytes(dag_, cfg_.chunk_rows, true);
 }
@@ -792,56 +447,33 @@ void pass_runner::submit_sink_partials(thread_ctx& ctx) {
 
 void pass_runner::init_cum_chains() {
   if (!dag_.has_cum) return;
-  for (virtual_store* v : dag_.order) {
-    if (v->op().kind != node_kind::cum_col) continue;
-    cum_chains_[dag_.id_of(v)].init(dag_.space.num_parts(),
-                                    v->ncol() * v->elem_size());
+  for (const int id : dag_.order) {
+    const node_entry& n = dag_.nodes[static_cast<std::size_t>(id)];
+    if (n.virt()->op().kind != node_kind::cum_col) continue;
+    cum_chains_[id].init(dag_.space.num_parts(), n.ncol * n.elem_size);
   }
 }
 
-std::size_t chunk_rows_for(const dag_info& dag) {
-  return pcache_rows(dag.max_ncol, dag.space.part_rows, dag.max_elem);
-}
-
-void pass_runner::prof_init() {
+void pass_runner::prof_init(const dag_info& plan) {
   prof_ = obs::profile_on();
   if (!prof_) return;
-  prof_slots_ = dag_.nodes.size() + sinks_.size();
-  prof_nodes_.assign(prof_slots_, {});
-  // Plan identity (id, group, estimate) from the call's plan map; -1 ids
-  // for stores the plan does not name.
-  auto identify = [this](std::size_t slot, const matrix_store* s) {
-    if (auto it = ctl_.plan.find(s); it != ctl_.plan.end())
-      prof_nodes_[slot] = it->second;
-  };
+  const std::vector<int> group = fusion_groups(plan, ctl_.mode);
+  prof_nodes_.assign(dag_.nodes.size(), {});
   for (std::size_t slot = 0; slot < dag_.nodes.size(); ++slot) {
     const node_entry& node = dag_.nodes[slot];
-    identify(slot, node.store);
+    const int id = dag_.plan_id(static_cast<int>(slot));
     obs::node_profile& n = prof_nodes_[slot];
+    n.id = id;
+    n.group = group[static_cast<std::size_t>(id)];
+    n.est_bytes = plan.nodes[static_cast<std::size_t>(id)].est_bytes();
+    // What this pass did with the node: an eager sub-pass reads an earlier
+    // node's result as a leaf.
+    n.op = op_label(node);
     n.leaf = node.kind != store_kind::virt;
-    switch (node.kind) {
-      case store_kind::virt:
-        n.op = node_kind_name(node.virt()->op().kind);
-        break;
-      case store_kind::mem:
-        n.op = "mem";
-        break;
-      case store_kind::ext:
-        n.op = "em";
-        break;
-      case store_kind::generated:
-        n.op = "generated";
-        break;
-    }
+    n.sink = !n.leaf && node.virt()->is_sink_node();
   }
-  for (std::size_t s = 0; s < sinks_.size(); ++s) {
-    const std::size_t slot = dag_.nodes.size() + s;
-    identify(slot, sinks_[s].node);
-    prof_nodes_[slot].op = node_kind_name(sinks_[s].node->op().kind);
-    prof_nodes_[slot].sink = true;
-  }
-  prof_acc_ =
-      std::vector<std::atomic<std::uint64_t>>(prof_slots_ * kProfFields);
+  prof_acc_ = std::vector<std::atomic<std::uint64_t>>(prof_nodes_.size() *
+                                                      kProfFields);
 }
 
 void pass_runner::record_profile() {
@@ -858,8 +490,8 @@ void pass_runner::record_profile() {
     p.degrade.push_back(path.substr(b, e - b));
     b = e + 1;
   }
-  p.nodes.reserve(prof_slots_);
-  for (std::size_t slot = 0; slot < prof_slots_; ++slot) {
+  p.nodes.reserve(prof_nodes_.size());
+  for (std::size_t slot = 0; slot < prof_nodes_.size(); ++slot) {
     obs::node_profile n = prof_nodes_[slot];
     const std::atomic<std::uint64_t>* a = &prof_acc_[slot * kProfFields];
     n.kernel_ns = a[pf_kernel].load(std::memory_order_relaxed);
@@ -874,8 +506,7 @@ void pass_runner::record_profile() {
   }
   // Join the sampling profiler's view of the same pass: per-node on-CPU
   // sample counts (scaled to ns by the sample period) next to the measured
-  // kernel_ns, plus the pass-level cpu/io-wait/lock-wait split. Slots that
-  // alias the same plan id fold into the first slot carrying that id.
+  // kernel_ns, plus the pass-level cpu/io-wait/lock-wait split.
   if (samp_pass_ != 0) {
     std::uint64_t period_ns = 0;
     const std::vector<obs::node_samples> samp =
@@ -1056,9 +687,9 @@ void pass_runner::run() {
     ctx.thread_idx = thread_idx;
     ctx.chunk.resize(dag_.nodes.size());
     ctx.part_view.resize(dag_.nodes.size());
-    ctx.out_stage.resize(dag_.tall_outputs.size());
+    ctx.out_stage.resize(dag_.tall_ids.size());
     if (dag_.has_cum) ctx.cum_carry.resize(dag_.nodes.size());
-    if (prof_) ctx.prof.assign(prof_slots_ * kProfFields, 0);
+    if (prof_) ctx.prof.assign(prof_nodes_.size() * kProfFields, 0);
     // Sink partials start at the aggregation identity; they are re-armed
     // after every partition by submit_sink_partials().
     ctx.sink_acc.reserve(sinks_.size());
@@ -1130,13 +761,9 @@ void pass_runner::run() {
   em_store::drain_writes();
   validate::audit_pool(buffer_pool::global(), pool_baseline_count_);
 
-  // Assign tall output stores to their nodes. Alias each result to its
-  // node's plan entry so eager-mode follow-up passes (which see the result
-  // as a leaf) keep attributing costs to the original node.
-  for (std::size_t i = 0; i < dag_.tall_outputs.size(); ++i) {
-    dag_.tall_outputs[i]->set_result(out_stores_[i]);
-    ctl_.alias_plan(out_stores_[i].get(), dag_.tall_outputs[i]);
-  }
+  // Assign tall output stores to their nodes.
+  for (std::size_t i = 0; i < dag_.tall_ids.size(); ++i)
+    dag_.virt(dag_.tall_ids[i])->set_result(out_stores_[i]);
   merge_sinks();
   if (prof_) record_profile();
 }
@@ -1167,7 +794,7 @@ void pass_runner::process_partition(thread_ctx& ctx) {
   // outputs, whose partitions are written verbatim from the EM read buffer:
   // the pool buffer is promoted to a refcounted lease shared between the
   // chunk aliases, any other consumer of the leaf, and the in-flight write.
-  for (std::size_t i = 0; i < dag_.tall_outputs.size(); ++i) {
+  for (std::size_t i = 0; i < dag_.tall_ids.size(); ++i) {
     if (out_stores_[i]->kind() != store_kind::ext) continue;
     if (const em_readable* src = zc_out_[i]) {
       if (ctx.em_leases.find(src) == ctx.em_leases.end()) {
@@ -1178,7 +805,7 @@ void pass_runner::process_partition(thread_ctx& ctx) {
       }
       continue;
     }
-    const virtual_store* v = dag_.tall_outputs[i];
+    const virtual_store* v = dag_.virt(dag_.tall_ids[i]);
     ctx.out_stage[i] =
         buffer_pool::global().get(v->geom().part_bytes(ctx.part, v->type()));
   }
@@ -1199,7 +826,7 @@ void pass_runner::process_partition(thread_ctx& ctx) {
   // Flush outputs. Zero-copy outputs hand the write a copy of the lease:
   // the read buffer stays alive until the slowest of {this partition's
   // remaining consumers, the write completion} drops its share.
-  for (std::size_t i = 0; i < dag_.tall_outputs.size(); ++i) {
+  for (std::size_t i = 0; i < dag_.tall_ids.size(); ++i) {
     if (out_stores_[i]->kind() != store_kind::ext) continue;
     auto* em = static_cast<em_store*>(out_stores_[i].get());
     if (zc_out_[i] != nullptr) {
@@ -1245,10 +872,12 @@ kern::view pass_runner::leaf_view(thread_ctx& ctx, int id) {
   }
 }
 
-const em_readable* pass_runner::zero_copy_source(
-    const virtual_store* v) const {
+const em_readable* pass_runner::zero_copy_source(int id) const {
+  const node_entry& n = dag_.nodes[static_cast<std::size_t>(id)];
+  const virtual_store* v = n.virt();
   if (v->op().kind != node_kind::cast_type) return nullptr;
-  const matrix_store* c = resolve(v->children()[0].get());
+  const matrix_store* c =
+      dag_.nodes[static_cast<std::size_t>(n.children[0])].store;
   if (c->kind() != store_kind::ext) return nullptr;
   if (v->op().to_type != c->type()) return nullptr;
   // Identical partitioning (rows, cols, split): partition p of the output
@@ -1377,8 +1006,9 @@ void pass_runner::eval_virtual(thread_ctx& ctx, int id, chunk_buf& out) {
   };
 
   // Kernel execution: node_kind_name() returns a string literal, which
-  // satisfies the span's static-storage requirement.
-  obs::span kernel_span(node_kind_name(op.kind), rows);
+  // satisfies the span's static-storage requirement. Per node per chunk,
+  // so trace-only: the flight recorder keeps the pass/partition context.
+  OBS_SPAN_HOT(node_kind_name(op.kind), rows);
   // Samples landing in the kernel (or its allocation) attribute to this
   // node's plan id; nested ensure() calls already closed their own scopes.
   obs::sample_node_scope sample_scope(prof_id(id));
@@ -1474,7 +1104,7 @@ void pass_runner::process_chunk(thread_ctx& ctx) {
   OBS_SPAN_HOT("chunk", ctx.chunk_row0);
   ++ctx.gen;
   // Tall outputs: evaluate and copy the chunk into the partition store.
-  for (std::size_t i = 0; i < dag_.tall_outputs.size(); ++i) {
+  for (std::size_t i = 0; i < dag_.tall_ids.size(); ++i) {
     const int id = dag_.tall_ids[i];
     const node_entry& n = dag_.nodes[static_cast<std::size_t>(id)];
     obs::sample_node_scope sample_scope(prof_id(id));
@@ -1503,11 +1133,11 @@ void pass_runner::process_chunk(thread_ctx& ctx) {
 
   // Sinks: accumulate into this thread's partials.
   for (std::size_t s = 0; s < sinks_.size(); ++s) {
-    // The sink's accumulate kernel samples attribute to the sink slot;
-    // child evaluation inside ensure() re-scopes to the child's node.
-    const int slot = static_cast<int>(dag_.nodes.size() + s);
+    // The sink's accumulate kernel samples attribute to the sink; child
+    // evaluation inside ensure() re-scopes to the child's node.
+    const int slot = sinks_[s].id;
     obs::sample_node_scope sample_scope(prof_id(slot));
-    const node_entry& sn = dag_.nodes[static_cast<std::size_t>(sinks_[s].id)];
+    const node_entry& sn = dag_.nodes[static_cast<std::size_t>(slot)];
     const genop& op = sn.virt()->op();
     const std::vector<int>& ch = sn.children;
     const node_entry& a = dag_.nodes[static_cast<std::size_t>(ch[0])];
@@ -1592,164 +1222,6 @@ void pass_runner::merge_sinks() {
     kern::copy(d.out_type, kern::view{total.data(), d.out_rows}, d.out_rows,
                d.out_cols, out->part_data(0), out->part_stride(0));
     d.node->set_result(out);
-    ctl_.alias_plan(out.get(), d.node);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Admission + degradation ladder (core/governor.h)
-// ---------------------------------------------------------------------------
-
-/// Estimated peak TRANSIENT pool demand of one pass. Covers the terms a
-/// pass releases at its end: the prefetch window, each worker's claimed
-/// partition buffers, per-worker chunk evaluation state, EM-output staging
-/// and the bounded write-behind. Persistent in-memory outputs (mem_store
-/// partitions that outlive the pass) are deliberately excluded — they are
-/// the caller's data, not pass overhead. Deterministic for a fixed DAG and
-/// configuration, so the degradation ladder converges.
-resource_governor::footprint estimate_footprint(const dag_info& dag,
-                                                long depth,
-                                                std::size_t chunk_rows,
-                                                storage st) {
-  resource_governor::footprint fp;
-  const auto threads = static_cast<std::size_t>(thread_pool::global().size());
-  const std::size_t d = depth > 0 ? static_cast<std::size_t>(depth) : 0;
-
-  // Partition 0 is a full-height partition (only the last may be short).
-  std::size_t leaf_part_bytes = 0;
-  for (const em_readable* l : dag.em_leaves)
-    leaf_part_bytes += l->geom().part_bytes(0, l->type());
-  // Window reads plus one claimed partition per worker.
-  fp.bytes += (d + threads) * leaf_part_bytes;
-
-  // Chunk evaluation state: one buffer per chunk-owning node per worker.
-  fp.bytes += threads * worker_chunk_bytes(dag, chunk_rows, false);
-
-  // EM outputs: one staged partition per worker, plus the write-behind
-  // allowance (bounded by conf, or one more partition per worker unbounded).
-  std::size_t out_part_bytes = 0;
-  for (const virtual_store* v : dag.tall_outputs) {
-    const storage s =
-        dag.requested_talls.count(v) ? st : v->cache_storage();
-    if (s == storage::ext_mem)
-      out_part_bytes += v->geom().part_bytes(0, v->type());
-  }
-  if (out_part_bytes != 0) {
-    fp.bytes += threads * out_part_bytes;
-    const std::size_t wb = conf().max_inflight_write_bytes;
-    fp.bytes += wb != 0 ? wb : threads * out_part_bytes;
-  }
-
-  if (!dag.em_leaves.empty())
-    fp.inflight_io = (d > 0 ? d : threads) * dag.em_leaves.size();
-  return fp;
-}
-
-/// RAII /healthz accounting for a pass running in a degraded configuration.
-struct degraded_scope {
-  explicit degraded_scope(bool on) : on_(on) {
-    if (on_) resource_governor::global().note_degraded_begin();
-  }
-  ~degraded_scope() {
-    if (on_) resource_governor::global().note_degraded_end();
-  }
-  degraded_scope(const degraded_scope&) = delete;
-  degraded_scope& operator=(const degraded_scope&) = delete;
-  bool on_;
-};
-
-/// The ladder ran out of rungs: the pass cannot fit its budget even fully
-/// degraded. Only this rejection retries the call node-at-a-time; a
-/// fail-fast "busy" one is not about the pass's size.
-class exhausted_error final : public overload_error {
- public:
-  using overload_error::overload_error;
-};
-
-/// Admit one pass, walking the degradation ladder until its footprint fits
-/// the budgets: halve the prefetch window (…→1→0, each rung strictly
-/// smaller), then shrink the Pcache chunk (converting a whole-partition
-/// pass to chunked evaluation first). A pass that fits but finds another
-/// pass running queues (bounded by the deadline) or fails fast per conf().
-/// Every step lands in ctl.stats and the governor metrics. Returns with the
-/// reservation held and cfg updated; throws typed overload/timeout errors.
-resource_governor::reservation admit_with_degradation(const dag_info& dag,
-                                                      pass_config& cfg,
-                                                      pass_ctl& ctl) {
-  auto& gov = resource_governor::global();
-  long depth = default_prefetch_depth();
-  for (;;) {
-    const resource_governor::footprint fp =
-        estimate_footprint(dag, depth, cfg.chunk_rows, cfg.st);
-    resource_governor::reservation res;
-    const resource_governor::verdict v = gov.try_admit(fp, res);
-    if (v == resource_governor::verdict::admitted) {
-      cfg.prefetch_depth = depth;
-      return res;
-    }
-    if (v == resource_governor::verdict::busy) {
-      if (conf().governor_fail_fast) {
-        gov.count_reject();
-        obs::incident_request(obs::incident_kind::governor_overload,
-                              "another pass is running (fail-fast)");
-        throw overload_error(
-            "another pass is running (fail-fast)", ctl.pass_id, fp.bytes,
-            conf().mem_budget_bytes);
-      }
-      const std::uint64_t t0 = now_ns();
-      // Count the wait BEFORE blocking: an incident bundle cut while this
-      // pass queues should say so.
-      {
-        mutex_lock lock(g_stats_mutex);
-        ++ctl.stats.admission_waits;
-      }
-      res = gov.admit(ctl.pass_id, fp, ctl.deadline_ns, ctl.deadline_ms);
-      ctl.stats.admission_wait_ns += now_ns() - t0;
-      cfg.prefetch_depth = depth;
-      return res;
-    }
-    // too_large: degrade. Depth first (read-ahead is pure overhead), then
-    // chunking (trades kernel efficiency, never results).
-    if (depth > 1) {
-      ctl.degrade("depth:" + std::to_string(depth) + "->" +
-                  std::to_string(depth / 2));
-      depth /= 2;
-    } else if (depth == 1) {
-      ctl.degrade("depth:1->0");
-      depth = 0;
-    } else if (cfg.chunk_rows == 0 && dag.space.part_rows > 16) {
-      // Whole-partition evaluation -> Pcache chunking. Start from the
-      // pcache_bytes-derived chunk; make sure the rung actually shrinks.
-      std::size_t c = chunk_rows_for(dag);
-      if (c >= dag.space.part_rows)
-        c = std::max<std::size_t>(16, std::bit_floor(dag.space.part_rows) / 2);
-      if (c >= dag.space.part_rows) {
-        gov.count_reject();
-        obs::incident_request(
-            obs::incident_kind::governor_overload,
-            "footprint exceeds the memory budget even fully degraded");
-        throw exhausted_error(
-            "pass footprint exceeds the memory budget even fully degraded",
-            ctl.pass_id, fp.bytes, conf().mem_budget_bytes);
-      }
-      ctl.degrade("chunk:0->" + std::to_string(c));
-      cfg.chunk_rows = c;
-    } else if (cfg.chunk_rows > 16) {
-      ctl.degrade("chunk:" + std::to_string(cfg.chunk_rows) + "->" +
-                  std::to_string(cfg.chunk_rows / 2));
-      cfg.chunk_rows /= 2;
-    } else {
-      gov.count_reject();
-      const bool mem_exceeded = conf().mem_budget_bytes != 0 &&
-                                fp.bytes > conf().mem_budget_bytes;
-      obs::incident_request(
-          obs::incident_kind::governor_overload,
-          "footprint exceeds the resource budget even fully degraded");
-      throw exhausted_error(
-          "pass footprint exceeds the resource budget even fully degraded",
-          ctl.pass_id, mem_exceeded ? fp.bytes : fp.inflight_io,
-          mem_exceeded ? conf().mem_budget_bytes : conf().max_inflight_io);
-    }
   }
 }
 
@@ -1757,7 +1229,9 @@ resource_governor::reservation admit_with_degradation(const dag_info& dag,
 // Mode selection
 // ---------------------------------------------------------------------------
 
-void run_fused(dag_info& dag, storage st, bool cache_fuse, pass_ctl& ctl) {
+/// One fused pass over `dag`, cut from the call's top-level `plan`.
+void run_fused(dag_info& dag, const dag_info& plan, storage st,
+               bool cache_fuse, pass_ctl& ctl) {
   if (dag.order.empty()) return;
   pass_config cfg;
   cfg.st = st;
@@ -1766,7 +1240,7 @@ void run_fused(dag_info& dag, storage st, bool cache_fuse, pass_ctl& ctl) {
   resource_governor::reservation res =
       admit_with_degradation(dag, cfg, ctl);
   degraded_scope degraded(ctl.stats.degrade_steps > steps_before);
-  pass_runner runner(dag, cfg, ctl);
+  pass_runner runner(dag, plan, cfg, ctl);
   runner.run();
 }
 
@@ -1775,31 +1249,34 @@ void run_fused(dag_info& dag, storage st, bool cache_fuse, pass_ctl& ctl) {
 /// base ("materializing every matrix operation separately causes SSDs to be
 /// the main bottleneck"); only requested targets honour the caller's
 /// storage. Sinks always land in memory regardless.
-void run_eager(dag_info& dag, storage st,
-               const std::vector<matrix_store::ptr>& targets, pass_ctl& ctl) {
+void run_eager(const dag_info& plan, storage st, pass_ctl& ctl) {
   const storage intermediate_st =
-      dag.em_leaves.empty() ? st : storage::ext_mem;
-  std::unordered_set<const matrix_store*> requested;
-  for (const auto& t : targets)
-    if (t) requested.insert(resolve(t.get()));
-  for (virtual_store* v : dag.order) {
-    if (v->has_result()) continue;
-    std::vector<matrix_store::ptr> single{v->shared_from_this()};
-    dag_info sub = collect(single);
-    run_fused(sub, requested.count(v) ? st : intermediate_st, false, ctl);
+      plan.em_leaves.empty() ? st : storage::ext_mem;
+  for (const int id : plan.order) {
+    if (plan.virt(id)->has_result()) continue;
+    dag_info sub = collect_one(plan, id);
+    const bool requested =
+        std::find(plan.targets.begin(), plan.targets.end(), id) !=
+        plan.targets.end();
+    run_fused(sub, plan, requested ? st : intermediate_st, false, ctl);
   }
 }
 
 }  // namespace
 
-std::size_t pcache_rows(std::size_t max_ncol, std::size_t part_rows,
-                        std::size_t elem_bytes) {
-  const std::size_t bytes_per_row =
-      std::max<std::size_t>(max_ncol, 1) * std::max<std::size_t>(elem_bytes, 1);
-  std::size_t rows = conf().pcache_bytes / bytes_per_row;
-  rows = std::max<std::size_t>(rows, 16);
-  rows = std::bit_floor(rows);
-  return std::min(rows, part_rows);
+void pass_ctl::degrade(const std::string& step) {
+  {
+    mutex_lock lock(g_stats_mutex);
+    if (!stats.degrade_path.empty()) stats.degrade_path += ',';
+    stats.degrade_path += step;
+    ++stats.degrade_steps;
+  }
+  resource_governor::global().count_degrade_step();
+}
+
+void pass_ctl::note_admission_wait() {
+  mutex_lock lock(g_stats_mutex);
+  ++stats.admission_waits;
 }
 
 pass_stats last_pass_stats() {
@@ -1880,16 +1357,6 @@ void materialize(const std::vector<matrix_store::ptr>& targets, storage st,
       ctl.deadline_ms != 0 ? ctl.start_ns + ctl.deadline_ms * 1000000ull : 0;
   ctl.stall_ms = conf().watchdog_stall_ms;
   ctl.mode = conf().mode;
-  // Profiling: map every store of the pending DAG to the deterministic DFS
-  // plan id explain() would assign it.
-  if (obs::profile_on()) {
-    for (const obs::plan_node& n : obs::summarize(targets).nodes) {
-      obs::node_profile& e = ctl.plan[n.store];
-      e.id = n.id;
-      e.group = n.group;
-      e.est_bytes = n.est_bytes;
-    }
-  }
 
   // Listed from here until the call ends, normally or by exception; the
   // end publishes the call's stats (partial ones too: a cancelled pass's
@@ -1911,12 +1378,12 @@ void materialize(const std::vector<matrix_store::ptr>& targets, storage st,
 
   switch (ctl.mode) {
     case exec_mode::eager:
-      run_eager(dag, st, targets, ctl);
+      run_eager(dag, st, ctl);
       break;
     case exec_mode::mem_fuse:
     case exec_mode::cache_fuse:
       try {
-        run_fused(dag, st, ctl.mode == exec_mode::cache_fuse, ctl);
+        run_fused(dag, dag, st, ctl.mode == exec_mode::cache_fuse, ctl);
       } catch (const exhausted_error&) {
         // The fused pass cannot fit the budget even fully degraded, but
         // admission precedes execution, so nothing ran: the final ladder
@@ -1926,7 +1393,7 @@ void materialize(const std::vector<matrix_store::ptr>& targets, storage st,
         if (dag.order.size() <= 1) throw;
         ctl.degrade(std::string("mode:") + exec_mode_name(ctl.mode) +
                     "->eager");
-        run_eager(dag, st, targets, ctl);
+        run_eager(dag, st, ctl);
       }
       break;
   }

@@ -1,6 +1,7 @@
 #include "core/governor.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <thread>
 
@@ -9,10 +10,13 @@
 #include "common/config.h"
 #include "common/error.h"
 #include "common/timer.h"
+#include "core/plan.h"
+#include "matrix/em_store.h"
 #include "obs/incident.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
+#include "parallel/thread_pool.h"
 
 namespace flashr::exec {
 
@@ -411,6 +415,131 @@ void pass_watchdog::loop() {
 pass_watchdog& pass_watchdog::global() {
   static pass_watchdog* w = new pass_watchdog();  // leaked; see ctor comment
   return *w;
+}
+
+// ---------------------------------------------------------------------------
+// Admission + degradation ladder
+// ---------------------------------------------------------------------------
+
+long default_prefetch_depth() {
+  return conf().prefetch_depth < 0
+             ? 2 * static_cast<long>(conf().io_threads) *
+                   static_cast<long>(conf().dispatch_batch)
+             : static_cast<long>(conf().prefetch_depth);
+}
+
+resource_governor::footprint estimate_footprint(const dag_info& dag,
+                                                long depth,
+                                                std::size_t chunk_rows,
+                                                storage st) {
+  resource_governor::footprint fp;
+  const auto threads = static_cast<std::size_t>(thread_pool::global().size());
+  const std::size_t d = depth > 0 ? static_cast<std::size_t>(depth) : 0;
+
+  // Partition 0 is a full-height partition (only the last may be short).
+  std::size_t leaf_part_bytes = 0;
+  for (const em_readable* l : dag.em_leaves)
+    leaf_part_bytes += l->geom().part_bytes(0, l->type());
+  // Window reads plus one claimed partition per worker.
+  fp.bytes += (d + threads) * leaf_part_bytes;
+
+  // Chunk evaluation state: one buffer per chunk-owning node per worker.
+  fp.bytes += threads * worker_chunk_bytes(dag, chunk_rows, false);
+
+  // EM outputs: one staged partition per worker, plus the write-behind
+  // allowance (bounded by conf, or one more partition per worker unbounded).
+  std::size_t out_part_bytes = 0;
+  for (std::size_t i = 0; i < dag.tall_ids.size(); ++i) {
+    const virtual_store* v = dag.virt(dag.tall_ids[i]);
+    if (dag.output_storage(i, st) == storage::ext_mem)
+      out_part_bytes += v->geom().part_bytes(0, v->type());
+  }
+  if (out_part_bytes != 0) {
+    fp.bytes += threads * out_part_bytes;
+    const std::size_t wb = conf().max_inflight_write_bytes;
+    fp.bytes += wb != 0 ? wb : threads * out_part_bytes;
+  }
+
+  if (!dag.em_leaves.empty())
+    fp.inflight_io = (d > 0 ? d : threads) * dag.em_leaves.size();
+  return fp;
+}
+
+resource_governor::reservation admit_with_degradation(const dag_info& dag,
+                                                      pass_config& cfg,
+                                                      pass_ctl& ctl) {
+  auto& gov = resource_governor::global();
+  long depth = default_prefetch_depth();
+  for (;;) {
+    const resource_governor::footprint fp =
+        estimate_footprint(dag, depth, cfg.chunk_rows, cfg.st);
+    resource_governor::reservation res;
+    const resource_governor::verdict v = gov.try_admit(fp, res);
+    if (v == resource_governor::verdict::admitted) {
+      cfg.prefetch_depth = depth;
+      return res;
+    }
+    if (v == resource_governor::verdict::busy) {
+      if (conf().governor_fail_fast) {
+        gov.count_reject();
+        obs::incident_request(obs::incident_kind::governor_overload,
+                              "another pass is running (fail-fast)");
+        throw overload_error(
+            "another pass is running (fail-fast)", ctl.pass_id, fp.bytes,
+            conf().mem_budget_bytes);
+      }
+      const std::uint64_t t0 = now_ns();
+      // Count the wait BEFORE blocking: an incident bundle cut while this
+      // pass queues should say so.
+      ctl.note_admission_wait();
+      res = gov.admit(ctl.pass_id, fp, ctl.deadline_ns, ctl.deadline_ms);
+      ctl.stats.admission_wait_ns += now_ns() - t0;
+      cfg.prefetch_depth = depth;
+      return res;
+    }
+    // too_large: degrade. Depth first (read-ahead is pure overhead), then
+    // chunking (trades kernel efficiency, never results).
+    if (depth > 1) {
+      ctl.degrade("depth:" + std::to_string(depth) + "->" +
+                  std::to_string(depth / 2));
+      depth /= 2;
+    } else if (depth == 1) {
+      ctl.degrade("depth:1->0");
+      depth = 0;
+    } else if (cfg.chunk_rows == 0 && dag.space.part_rows > 16) {
+      // Whole-partition evaluation -> Pcache chunking. Start from the
+      // pcache_bytes-derived chunk; make sure the rung actually shrinks.
+      std::size_t c = chunk_rows_for(dag);
+      if (c >= dag.space.part_rows)
+        c = std::max<std::size_t>(16, std::bit_floor(dag.space.part_rows) / 2);
+      if (c >= dag.space.part_rows) {
+        gov.count_reject();
+        obs::incident_request(
+            obs::incident_kind::governor_overload,
+            "footprint exceeds the memory budget even fully degraded");
+        throw exhausted_error(
+            "pass footprint exceeds the memory budget even fully degraded",
+            ctl.pass_id, fp.bytes, conf().mem_budget_bytes);
+      }
+      ctl.degrade("chunk:0->" + std::to_string(c));
+      cfg.chunk_rows = c;
+    } else if (cfg.chunk_rows > 16) {
+      ctl.degrade("chunk:" + std::to_string(cfg.chunk_rows) + "->" +
+                  std::to_string(cfg.chunk_rows / 2));
+      cfg.chunk_rows /= 2;
+    } else {
+      gov.count_reject();
+      const bool mem_exceeded = conf().mem_budget_bytes != 0 &&
+                                fp.bytes > conf().mem_budget_bytes;
+      obs::incident_request(
+          obs::incident_kind::governor_overload,
+          "footprint exceeds the resource budget even fully degraded");
+      throw exhausted_error(
+          "pass footprint exceeds the resource budget even fully degraded",
+          ctl.pass_id, mem_exceeded ? fp.bytes : fp.inflight_io,
+          mem_exceeded ? conf().mem_budget_bytes : conf().max_inflight_io);
+    }
+  }
 }
 
 }  // namespace flashr::exec

@@ -38,9 +38,13 @@
 #include <string>
 #include <unordered_map>
 
+#include "common/error.h"
 #include "common/thread_safety.h"
+#include "core/exec.h"
 
 namespace flashr::exec {
+
+struct dag_info;
 
 class resource_governor {
  public:
@@ -216,6 +220,92 @@ class pass_watchdog {
   /// Token whose cancel callback is executing (watchdog lock dropped);
   /// unwatch() of that token waits until the call returns.
   std::uint64_t cancelling_ GUARDED_BY(wd_mtx_) = 0;
+};
+
+// ---------------------------------------------------------------------------
+// Admission of one pass: its footprint estimate and the degradation ladder
+// ---------------------------------------------------------------------------
+
+/// One pass's configuration, as admitted.
+struct pass_config {
+  storage st = storage::in_mem;
+  std::size_t chunk_rows = 0;  // 0 = whole partition (mem_fuse)
+  long prefetch_depth = -1;    // -1 = the conf() default
+};
+
+/// One materialize() call, threaded through every pass it runs: its limits
+/// and the one pass_stats record each pass adds into, on the calling
+/// thread. Listed by active_passes_json() while it runs; the two fields
+/// that listing reads mid-call change only through degrade() and
+/// note_admission_wait(), under its lock (exec.cpp).
+struct pass_ctl {
+  std::uint64_t pass_id = 0;     ///< global materialize() sequence number
+  std::uint64_t start_ns = 0;
+  std::uint64_t deadline_ms = 0; ///< effective (opts override or conf)
+  std::uint64_t deadline_ns = 0; ///< absolute now_ns() instant; 0 = none
+  std::uint64_t stall_ms = 0;    ///< conf().watchdog_stall_ms
+  exec_mode mode = exec_mode::cache_fuse;
+  pass_stats stats;
+  /// Prefetch-window occupancy samples of every pass so far;
+  /// stats.occupancy_x100 is their running mean.
+  std::uint64_t occupancy_sum = 0;
+  std::uint64_t pops = 0;
+
+  /// Record one degradation-ladder step.
+  void degrade(const std::string& step);
+  /// Count a pass queueing for admission, before it blocks.
+  void note_admission_wait();
+};
+
+/// The conf()-derived prefetch depth (the formula of build_pipelines,
+/// before any NUMA split) — the top rung of the degradation ladder.
+long default_prefetch_depth();
+
+/// Estimated peak TRANSIENT pool demand of one pass. Covers the terms a
+/// pass releases at its end: the prefetch window, each worker's claimed
+/// partition buffers, per-worker chunk evaluation state, EM-output staging
+/// and the bounded write-behind. Persistent in-memory outputs (mem_store
+/// partitions that outlive the pass) are deliberately excluded — they are
+/// the caller's data, not pass overhead. Deterministic for a fixed DAG and
+/// configuration, so the degradation ladder converges.
+resource_governor::footprint estimate_footprint(const dag_info& dag,
+                                                long depth,
+                                                std::size_t chunk_rows,
+                                                storage st);
+
+/// The ladder ran out of rungs: the pass cannot fit its budget even fully
+/// degraded. Only this rejection retries the call node-at-a-time; a
+/// fail-fast "busy" one is not about the pass's size.
+class exhausted_error final : public overload_error {
+ public:
+  using overload_error::overload_error;
+};
+
+/// Admit one pass, walking the degradation ladder until its footprint fits
+/// the budgets: halve the prefetch window (…→1→0, each rung strictly
+/// smaller), then shrink the Pcache chunk (converting a whole-partition
+/// pass to chunked evaluation first). A pass that fits but finds another
+/// pass running queues (bounded by the deadline) or fails fast per conf().
+/// Every step lands in ctl.stats and the governor metrics. Returns with the
+/// reservation held and cfg updated; throws typed overload/timeout errors.
+resource_governor::reservation admit_with_degradation(const dag_info& dag,
+                                                      pass_config& cfg,
+                                                      pass_ctl& ctl);
+
+/// RAII /healthz accounting for a pass running in a degraded configuration.
+class degraded_scope {
+ public:
+  explicit degraded_scope(bool on) : on_(on) {
+    if (on_) resource_governor::global().note_degraded_begin();
+  }
+  ~degraded_scope() {
+    if (on_) resource_governor::global().note_degraded_end();
+  }
+  degraded_scope(const degraded_scope&) = delete;
+  degraded_scope& operator=(const degraded_scope&) = delete;
+
+ private:
+  bool on_;
 };
 
 }  // namespace flashr::exec

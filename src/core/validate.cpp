@@ -5,7 +5,7 @@
 #include <unordered_set>
 
 #include "common/check.h"
-#include "core/virtual_store.h"
+#include "core/plan.h"
 #include "mem/buffer_pool.h"
 
 namespace flashr {
@@ -13,20 +13,13 @@ namespace validate {
 
 namespace {
 
+using exec::resolve;
+
 [[noreturn]] void dag_fail(const virtual_store* v, const std::string& why) {
   detail::assert_fail("DAG structural invariant", __FILE__, __LINE__,
                       std::string(node_kind_name(v->op().kind)) + " node (" +
                           std::to_string(v->nrow()) + "x" +
                           std::to_string(v->ncol()) + "): " + why);
-}
-
-/// Follow a virtual node to its materialized result, if any.
-const matrix_store* resolve(const matrix_store* s) {
-  if (s->kind() == store_kind::virt) {
-    auto* v = static_cast<const virtual_store*>(s);
-    if (auto r = v->result()) return resolve(r.get());
-  }
-  return s;
 }
 
 std::size_t arity_of(node_kind k) {

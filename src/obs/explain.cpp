@@ -1,90 +1,17 @@
-#include "obs/explain.h"
+#include "obs/explain_plan.h"
 
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <unordered_map>
 
 #include "common/config.h"
-#include "core/exec.h"
-#include "core/virtual_store.h"
 
 namespace flashr::obs {
 
 namespace {
 
-/// Follow a virtual store to its materialized result (mirrors exec's
-/// resolve: one level of indirection suffices because results are physical).
-const matrix_store* resolve(const matrix_store* s) {
-  if (s->kind() == store_kind::virt) {
-    auto* v = static_cast<const virtual_store*>(s);
-    if (auto r = v->result()) return resolve(r.get());
-  }
-  return s;
-}
-
-const char* store_kind_label(const matrix_store* s) {
-  switch (s->kind()) {
-    case store_kind::mem: return "mem";
-    case store_kind::ext: return "em";
-    case store_kind::generated: return "generated";
-    case store_kind::virt: return "virtual";
-  }
-  return "?";
-}
-
-struct explain_graph {
-  /// Nodes in DFS children-first discovery order; ids are indices.
-  std::vector<const matrix_store*> nodes;
-  std::unordered_map<const matrix_store*, int> ids;
-  std::vector<std::vector<int>> children;  // parallel to nodes
-  std::vector<int> targets;
-  /// Pending virtual node ids in topological (children-first) order.
-  std::vector<int> pending;
-  std::size_t max_ncol = 1;
-  std::size_t max_elem = 1;
-  std::size_t part_rows = 0;
-  bool has_cum = false;
-};
-
-/// Sinks have their own (small) geometry; the shared partition space comes
-/// from any non-sink node.
-bool is_sink_store(const matrix_store* s) {
-  return s->kind() == store_kind::virt &&
-         static_cast<const virtual_store*>(s)->is_sink_node();
-}
-
-int visit(explain_graph& g, const matrix_store* s) {
-  const matrix_store* r = resolve(s);
-  if (auto it = g.ids.find(r); it != g.ids.end()) return it->second;
-  std::vector<int> kids;
-  if (r->kind() == store_kind::virt) {
-    auto* v = static_cast<const virtual_store*>(r);
-    for (const auto& c : v->children()) kids.push_back(visit(g, c.get()));
-  }
-  const int id = static_cast<int>(g.nodes.size());
-  g.ids.emplace(r, id);
-  g.nodes.push_back(r);
-  g.children.push_back(std::move(kids));
-  if (r->kind() == store_kind::virt) {
-    auto* v = static_cast<const virtual_store*>(r);
-    g.pending.push_back(id);
-    if (v->op().kind == node_kind::cum_col) g.has_cum = true;
-  }
-  g.max_ncol = std::max(g.max_ncol, r->ncol());
-  g.max_elem = std::max(g.max_elem, r->elem_size());
-  if (g.part_rows == 0 && !static_cast<bool>(is_sink_store(r)))
-    g.part_rows = r->geom().part_rows;
-  return id;
-}
-
-explain_graph build(const std::vector<matrix_store::ptr>& targets) {
-  explain_graph g;
-  for (const auto& t : targets) {
-    if (!t) continue;
-    g.targets.push_back(visit(g, t.get()));
-  }
-  return g;
+const char* store_kind_label(const exec::node_entry& n) {
+  return n.kind == store_kind::virt ? "virtual" : exec::op_label(n);
 }
 
 void append(std::string& out, const char* fmt, ...)
@@ -141,82 +68,65 @@ void append_op_fields(std::string& out, const genop& op) {
   }
 }
 
-void append_exec_plan(std::string& out, const explain_graph& g) {
-  const exec_mode mode = conf().mode;
-  const std::size_t chunk_rows =
-      mode == exec_mode::cache_fuse && g.part_rows > 0
-          ? exec::pcache_rows(g.max_ncol, g.part_rows, g.max_elem)
-          : 0;
-  append(out,
-         "  \"exec\": {\"mode\": \"%s\", \"chunk_rows\": %zu, "
-         "\"sequential_dispatch\": %s, \"groups\": [",
-         exec_mode_name(mode), chunk_rows, g.has_cum ? "true" : "false");
-  // Eager runs one pass per pending node (topological order); the fused
-  // modes evaluate the whole pending DAG in a single pass.
-  if (mode == exec_mode::eager) {
-    for (std::size_t i = 0; i < g.pending.size(); ++i)
-      append(out, "%s[%d]", i == 0 ? "" : ", ", g.pending[i]);
-  } else if (!g.pending.empty()) {
-    out += "[";
-    for (std::size_t i = 0; i < g.pending.size(); ++i)
-      append(out, "%s%d", i == 0 ? "" : ", ", g.pending[i]);
-    out += "]";
-  }
-  out += "]}";
-}
-
 }  // namespace
 
-plan_summary summarize(const std::vector<matrix_store::ptr>& targets) {
-  explain_graph g = build(targets);
+plan_summary summarize(const exec::dag_info& g) {
   plan_summary p;
   p.targets = g.targets;
   p.mode = exec_mode_name(conf().mode);
   p.sequential_dispatch = g.has_cum;
-  if (conf().mode == exec_mode::cache_fuse && g.part_rows > 0)
-    p.chunk_rows = exec::pcache_rows(g.max_ncol, g.part_rows, g.max_elem);
-  if (conf().mode == exec_mode::eager) {
-    for (int id : g.pending) p.groups.push_back({id});
-  } else if (!g.pending.empty()) {
-    p.groups.push_back(g.pending);
-  }
+  if (conf().mode == exec_mode::cache_fuse && g.space_set)
+    p.chunk_rows = exec::chunk_rows_for(g);
+  const std::vector<int> group = exec::fusion_groups(g, conf().mode);
   p.nodes.resize(g.nodes.size());
   for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-    const matrix_store* s = g.nodes[i];
+    const exec::node_entry& e = g.nodes[i];
     plan_node& n = p.nodes[i];
-    n.store = s;
+    n.store = e.store;
     n.id = static_cast<int>(i);
-    n.nrow = s->nrow();
-    n.ncol = s->ncol();
-    n.est_bytes = s->nrow() * s->ncol() * s->elem_size();
-    n.children = g.children[i];
-    if (s->kind() == store_kind::virt) {
-      auto* v = static_cast<const virtual_store*>(s);
-      n.op = node_kind_name(v->op().kind);
-      n.sink = v->is_sink_node();
-    } else {
-      n.op = store_kind_label(s);
-      n.leaf = true;
-    }
+    n.nrow = e.store->nrow();
+    n.ncol = e.ncol;
+    n.est_bytes = e.est_bytes();
+    n.group = group[i];
+    n.children = e.children;
+    n.op = exec::op_label(e);
+    n.leaf = e.kind != store_kind::virt;
+    n.sink = !n.leaf && e.virt()->is_sink_node();
+    // Ids ascend with the topological order, so groups fill in order.
+    if (n.group < 0) continue;
+    p.groups.resize(std::max(p.groups.size(), std::size_t(n.group) + 1));
+    p.groups[static_cast<std::size_t>(n.group)].push_back(n.id);
   }
-  for (std::size_t gi = 0; gi < p.groups.size(); ++gi)
-    for (int id : p.groups[gi])
-      p.nodes[static_cast<std::size_t>(id)].group = static_cast<int>(gi);
   return p;
 }
 
-std::string explain_json(const std::vector<matrix_store::ptr>& targets) {
-  explain_graph g = build(targets);
+plan_summary summarize(const std::vector<matrix_store::ptr>& targets) {
+  return summarize(exec::collect(targets));
+}
+
+std::string explain_json(const exec::dag_info& g) {
+  const plan_summary p = summarize(g);
   std::string out = "{\n  \"targets\": [";
-  for (std::size_t i = 0; i < g.targets.size(); ++i)
-    append(out, "%s%d", i == 0 ? "" : ", ", g.targets[i]);
-  out += "],\n";
-  append_exec_plan(out, g);
+  for (std::size_t i = 0; i < p.targets.size(); ++i)
+    append(out, "%s%d", i == 0 ? "" : ", ", p.targets[i]);
+  append(out,
+         "],\n  \"exec\": {\"mode\": \"%s\", \"chunk_rows\": %zu, "
+         "\"sequential_dispatch\": %s, \"groups\": [",
+         p.mode, p.chunk_rows, p.sequential_dispatch ? "true" : "false");
+  // Eager runs one pass per pending node (topological order); the fused
+  // modes evaluate the whole pending DAG in a single pass.
+  for (std::size_t gi = 0; gi < p.groups.size(); ++gi) {
+    out += gi == 0 ? "[" : ", [";
+    for (std::size_t i = 0; i < p.groups[gi].size(); ++i)
+      append(out, "%s%d", i == 0 ? "" : ", ", p.groups[gi][i]);
+    out += "]";
+  }
+  out += "]}";
   out += ",\n  \"nodes\": [\n";
   for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-    const matrix_store* s = g.nodes[i];
+    const matrix_store* s = g.nodes[i].store;
     append(out, "    {\"id\": %zu, \"store\": \"%s\"", i,
-           store_kind_label(s));
+           store_kind_label(g.nodes[i]));
     if (s->kind() == store_kind::virt) {
       auto* v = static_cast<const virtual_store*>(s);
       append(out, ", \"op\": \"%s\"", node_kind_name(v->op().kind));
@@ -229,30 +139,29 @@ std::string explain_json(const std::vector<matrix_store::ptr>& targets) {
     append(out, ", \"nrow\": %zu, \"ncol\": %zu, \"type\": \"%s\", "
            "\"part_rows\": %zu, \"children\": [",
            s->nrow(), s->ncol(), type_name(s->type()), s->geom().part_rows);
-    for (std::size_t c = 0; c < g.children[i].size(); ++c)
-      append(out, "%s%d", c == 0 ? "" : ", ", g.children[i][c]);
+    const std::vector<int>& ch = g.nodes[i].children;
+    for (std::size_t c = 0; c < ch.size(); ++c)
+      append(out, "%s%d", c == 0 ? "" : ", ", ch[c]);
     append(out, "]}%s\n", i + 1 < g.nodes.size() ? "," : "");
   }
   out += "  ]\n}";
   return out;
 }
 
+std::string explain_json(const std::vector<matrix_store::ptr>& targets) {
+  return explain_json(exec::collect(targets));
+}
+
 std::string explain_dot(const std::vector<matrix_store::ptr>& targets) {
-  explain_graph g = build(targets);
+  const exec::dag_info g = exec::collect(targets);
   std::string out = "digraph flashr_dag {\n  rankdir=BT;\n";
   for (std::size_t i = 0; i < g.nodes.size(); ++i) {
-    const matrix_store* s = g.nodes[i];
-    std::string label;
-    if (s->kind() == store_kind::virt) {
-      auto* v = static_cast<const virtual_store*>(s);
-      label = node_kind_name(v->op().kind);
-    } else {
-      label = store_kind_label(s);
-    }
+    const matrix_store* s = g.nodes[i].store;
     append(out, "  n%zu [label=\"%zu: %s\\n%zux%zu %s\"%s];\n", i, i,
-           label.c_str(), s->nrow(), s->ncol(), type_name(s->type()),
+           exec::op_label(g.nodes[i]),
+           s->nrow(), s->ncol(), type_name(s->type()),
            s->kind() == store_kind::virt ? "" : ", shape=box");
-    for (int c : g.children[i]) append(out, "  n%d -> n%zu;\n", c, i);
+    for (int c : g.nodes[i].children) append(out, "  n%d -> n%zu;\n", c, i);
   }
   out += "}\n";
   return out;

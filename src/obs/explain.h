@@ -1,10 +1,11 @@
 // DAG explain (the third part of src/obs/): dump what a materialization
 // *will* do, before any pass runs.
 //
-// explain_json()/explain_dot() walk the un-materialized DAG beneath a set of
-// requested stores exactly as exec::materialize would collect it (virtual
-// nodes with a result are followed to their physical store and reported as
-// leaves) and emit:
+// explain_json()/explain_dot() render the plan exec::materialize would run:
+// the node table exec::collect() (core/plan.h) builds from the
+// un-materialized DAG beneath a set of requested stores (virtual nodes with
+// a result are followed to their physical store and reported as leaves).
+// They emit:
 //
 //  * per node: dense id, store kind (virtual/mem/em/generated), GenOp kind
 //    and element functions, shape, element type, partition rows, sink/cache
@@ -14,9 +15,10 @@
 //    DAG), the Pcache chunk rows cache_fuse would use, and whether the
 //    cumulative-op carry chains force sequential partition dispatch.
 //
-// Node ids are assigned in DFS (children-first) order over the targets, so
-// the output is deterministic for a given construction order — tests pin a
-// golden DAG's output verbatim.
+// Node ids are the plan's dense ids, assigned in DFS (children-first) order
+// over the targets, so the output is deterministic for a given construction
+// order — tests pin a golden DAG's output verbatim — and the ids are the
+// ones the pass runner and the profiler use.
 #pragma once
 
 #include <cstddef>
@@ -33,7 +35,7 @@ std::string explain_json(const std::vector<matrix_store::ptr>& targets);
 /// Graphviz dot, one node per store, edges child -> consumer.
 std::string explain_dot(const std::vector<matrix_store::ptr>& targets);
 
-/// One node of the summarized plan. `id` is the deterministic DFS
+/// One node of the summarized plan. `id` is the plan's dense DFS
 /// (children-first) id — the same id explain_json() prints, and the key the
 /// profiler (obs/profile.h) attributes measured costs to.
 struct plan_node {
@@ -55,8 +57,9 @@ struct plan_node {
   std::vector<int> children;
 };
 
-/// The plan explain_json() would print, in structured form: nodes indexed by
-/// DFS id plus the exec-plan facts under the *current* configuration.
+/// The plan explain_json() would print, in structured form: a rendering of
+/// the same node table, nodes indexed by DFS id, plus the exec-plan facts
+/// under the *current* configuration.
 struct plan_summary {
   std::vector<plan_node> nodes;  // index == plan_node::id
   std::vector<int> targets;

@@ -9,7 +9,7 @@
 #include "common/thread_safety.h"
 #include "common/timer.h"
 #include "core/exec.h"
-#include "obs/explain.h"
+#include "obs/explain_plan.h"
 
 namespace flashr::obs {
 
@@ -151,8 +151,9 @@ void run_analysis(const std::vector<matrix_store::ptr>& targets, storage st,
   set_profile_enabled(true);
   const std::uint64_t seq0 = profile_pass_seq();
   // The plan must be captured before materialization collapses the DAG.
-  plan_summary plan = summarize(targets);
-  const std::string plan_json = explain_json(targets);
+  const exec::dag_info dag = exec::collect(targets);
+  const plan_summary plan = summarize(dag);
+  const std::string plan_json = explain_json(dag);
   const std::uint64_t t0 = now_ns();
   exec::materialize(targets, st);
   const std::uint64_t wall_ns = now_ns() - t0;

@@ -1,17 +1,18 @@
 // Per-node pass profiling (the "actuals" side of explain): EXPLAIN ANALYZE
 // for the materialization engine.
 //
-// When profiling is enabled, each exec::materialize call maps every store
-// in its pending DAG to its deterministic DFS plan id (the same ids
-// explain_json() prints — obs/explain.h summarize()). Each pass accumulates
-// per-thread, per-node costs in plain per-worker arrays (kernel ns, I/O-wait
-// ns, partitions, rows, bytes, Pcache chunks) and merges them lock-free
-// (atomic fetch_add) when the worker finishes; the merged pass_profile is
-// pushed into a bounded history ring here.
+// When profiling is enabled, each pass attributes costs to its nodes' ids in
+// the call's plan (core/plan.h) — the node table explain_json() renders, so
+// the ids are the ones it prints. An eager sub-pass maps its nodes back to
+// the call's top-level plan. Each pass accumulates per-thread, per-node
+// costs in plain per-worker arrays (kernel ns, I/O-wait ns, partitions,
+// rows, bytes, Pcache chunks) and merges them lock-free (atomic fetch_add)
+// when the worker finishes; the merged pass_profile is pushed into a
+// bounded history ring here.
 //
-// explain_analyze_json() ties the two halves together: capture the plan,
-// materialize with profiling on, then emit plan + per-pass actuals +
-// per-node totals. The result of the last analysis is kept for
+// explain_analyze_json() ties the two halves together: collect the plan once
+// and render it, materialize with profiling on, then emit plan + per-pass
+// actuals + per-node totals. The result of the last analysis is kept for
 // last_explain_analyze_*() and the stats server's /explain/last.
 //
 // Disabled (the default), the whole layer costs one relaxed load per
@@ -40,9 +41,8 @@ inline bool profile_on() {
 
 void set_profile_enabled(bool on);
 
-/// Measured actuals of one DAG node over one pass. `id` is the plan's DFS
-/// node id, or -1 when the store was not part of the call's plan
-/// (profiling enabled after the call started).
+/// Measured actuals of one DAG node over one pass. `id` is the node's DFS id
+/// in the call's plan (-1 in a default-constructed record).
 struct node_profile {
   int id = -1;
   const char* op = "?";  ///< static storage (node_kind_name / store label)

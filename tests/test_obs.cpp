@@ -19,6 +19,7 @@
 
 #include "common/config.h"
 #include "common/log.h"
+#include "common/timer.h"
 #include "core/dense_matrix.h"
 #include "core/exec.h"
 #include "io/safs.h"
@@ -587,6 +588,36 @@ TEST(ObsExplain, GoldenSparseInputDag) {
       want_sum += acc;
     }
   EXPECT_NEAR(d.scalar(), want_sum, std::abs(want_sum) * 1e-10);
+}
+
+// Kernel spans open once per node per chunk, so they are trace-only: with
+// tracing off, a 4-thread cache-fuse pass leaves the always-on flight
+// recorder holding its pass and partition context and no kernel spans.
+TEST(ObsFlight, KernelSpansStayOutOfTheFlightRecorder) {
+  options o = obs_options();
+  o.mode = exec_mode::cache_fuse;
+  o.obs_trace = false;
+  o.obs_flight = true;
+  init(o);
+  ASSERT_TRUE(obs::flight_on());
+  ASSERT_FALSE(obs::trace_on());
+
+  dense_matrix X = dense_matrix::runif(200000, 8, 0, 1, 23);
+  const std::uint64_t t0 = now_ns();
+  const double v = sum(sqrt(abs(X * 2.0 + 1.0))).scalar();
+  EXPECT_GT(v, 0.0);
+
+  std::unordered_map<std::string, std::size_t> spans;
+  for (const obs::flight_track& t : obs::flight_collect(t0))
+    for (const obs::flight_event& e : t.events)
+      if (e.kind == obs::event_kind::begin && e.name != nullptr)
+        ++spans[e.name];
+  for (int k = 0; k <= static_cast<int>(node_kind::s_count_groups); ++k) {
+    const char* name = node_kind_name(static_cast<node_kind>(k));
+    EXPECT_EQ(spans.count(name), 0u) << "kernel span in flight: " << name;
+  }
+  EXPECT_GT(spans["pass"], 0u);
+  EXPECT_GT(spans["partition"], 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -130,52 +130,54 @@ TEST(ProfileAnalyze, KernelTimeCoversWallInAllModes) {
 // section is byte-identical to explain(), and the totals array is indexed by
 // those ids in order.
 TEST(ProfileAnalyze, NodeIdsMatchExplain) {
-  options o = profile_options();
-  o.mode = exec_mode::cache_fuse;
-  init(o);
-  obs::profile_clear();
+  // Eager runs one sub-pass per node, each reading earlier results as
+  // leaves; its costs must still land on the plan's ids.
+  for (exec_mode m :
+       {exec_mode::cache_fuse, exec_mode::mem_fuse, exec_mode::eager}) {
+    SCOPED_TRACE(exec_mode_name(m));
+    options o = profile_options();
+    o.mode = m;
+    init(o);
+    obs::profile_clear();
 
-  dense_matrix d = heavy_chain(50000);
-  const std::string plan = d.explain();  // before: analyze collapses the DAG
-  const std::string json = d.explain_analyze();
-  EXPECT_NE(json.find("\"plan\": " + plan), std::string::npos)
-      << "embedded plan differs from explain()";
+    dense_matrix d = heavy_chain(50000);
+    const std::string plan = d.explain();  // before: analyze collapses the DAG
+    const std::string json = d.explain_analyze();
+    EXPECT_NE(json.find("\"plan\": " + plan), std::string::npos)
+        << "embedded plan differs from explain()";
 
-  // Count the plan's nodes and check the totals cover ids 0..n-1 in order.
-  std::size_t num_nodes = 0;
-  for (std::size_t pos = plan.find("\"id\": "); pos != std::string::npos;
-       pos = plan.find("\"id\": ", pos + 1))
-    ++num_nodes;
-  ASSERT_GT(num_nodes, 2u);
-  std::size_t at = json.find("\"totals\":");
-  ASSERT_NE(at, std::string::npos);
-  for (std::size_t id = 0; id < num_nodes; ++id) {
-    const std::string needle = "{\"id\": " + std::to_string(id) + ",";
-    at = json.find(needle, at);
-    ASSERT_NE(at, std::string::npos) << "totals missing node id " << id;
+    // Count the plan's nodes and check the totals cover ids 0..n-1 in order.
+    std::size_t num_nodes = 0;
+    for (std::size_t pos = plan.find("\"id\": "); pos != std::string::npos;
+         pos = plan.find("\"id\": ", pos + 1))
+      ++num_nodes;
+    ASSERT_GT(num_nodes, 2u);
+    const std::size_t totals = json.find("\"totals\":");
+    ASSERT_NE(totals, std::string::npos);
+    std::size_t at = totals;
+    for (std::size_t id = 0; id < num_nodes; ++id) {
+      const std::string needle = "{\"id\": " + std::to_string(id) + ",";
+      at = json.find(needle, at);
+      ASSERT_NE(at, std::string::npos) << "totals missing node id " << id;
+      // The generated leaf (id 0) was generated, and every pending node ran
+      // its kernel (or its sink's accumulate) under its explain id.
+      EXPECT_GT(find_u64(json, "kernel_ns", at), 0u) << "node id " << id;
+    }
+    EXPECT_GT(find_u64(json, "rows", json.find("{\"id\": 0,", totals)), 0u);
+    EXPECT_NE(json.find("\"sink\": true", totals), std::string::npos);
+
+    // The annotated dot names every node and carries measured labels.
+    obs::profile_clear();
+    dense_matrix d2 = heavy_chain(50000);
+    const std::string dot = d2.explain_analyze_dot();
+    EXPECT_NE(dot.find("digraph flashr_explain_analyze"), std::string::npos);
+    EXPECT_NE(dot.find("kernel "), std::string::npos);
+    EXPECT_NE(dot.find("n0 -> n1"), std::string::npos);
+
+    // Both runs were kept as "last".
+    EXPECT_FALSE(obs::last_explain_analyze_json().empty());
+    EXPECT_EQ(obs::last_explain_analyze_dot(), dot);
   }
-
-  // The measured side is plausible: the generated leaf (id 0) was generated,
-  // every virtual node ran kernels over all rows, and the sink accumulated.
-  const std::size_t totals = json.find("\"totals\":");
-  const std::size_t leaf = json.find("{\"id\": 0,", totals);
-  EXPECT_GT(find_u64(json, "kernel_ns", leaf), 0u) << "leaf generation";
-  EXPECT_GT(find_u64(json, "rows", leaf), 0u);
-  const std::size_t sink = json.find("\"sink\": true", totals);
-  ASSERT_NE(sink, std::string::npos);
-  EXPECT_GT(find_u64(json, "kernel_ns", sink), 0u) << "sink accumulate";
-
-  // The annotated dot names every node and carries measured labels.
-  obs::profile_clear();
-  dense_matrix d2 = heavy_chain(50000);
-  const std::string dot = d2.explain_analyze_dot();
-  EXPECT_NE(dot.find("digraph flashr_explain_analyze"), std::string::npos);
-  EXPECT_NE(dot.find("kernel "), std::string::npos);
-  EXPECT_NE(dot.find("n0 -> n1"), std::string::npos);
-
-  // Both runs were kept as "last".
-  EXPECT_FALSE(obs::last_explain_analyze_json().empty());
-  EXPECT_EQ(obs::last_explain_analyze_dot(), dot);
 }
 
 // EM inputs must show up as I/O wait + bytes on the EM leaf.
