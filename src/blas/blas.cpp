@@ -3,21 +3,17 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
+#include "blas/variants.h"
 #include "common/error.h"
 
 namespace flashr::blas {
 
 namespace {
 
-// Register-blocking tile sizes. The micro-kernel accumulates a 4-column strip
-// of C in registers while streaming a column panel of A; with col-major
-// storage the inner loop is unit-stride over both A and C, which the
-// compiler auto-vectorizes.
-constexpr std::size_t kMc = 256;  // rows of A per L2 panel
-constexpr std::size_t kKc = 256;  // depth per panel
-constexpr std::size_t kNr = 4;    // columns of C per register strip
+constexpr std::size_t kKc = 256;  // gemm_tn: depth per panel
 
 template <typename T>
 void scale_matrix(std::size_t m, std::size_t n, T beta, T* C,
@@ -34,47 +30,32 @@ void scale_matrix(std::size_t m, std::size_t n, T beta, T* C,
 
 }  // namespace
 
+std::span<const kernel_variant> kernel_variants() {
+  static const kernel_variant table[] = {
+      {"generic", true, &generic::kernels},
+#if defined(FLASHR_BLAS_AVX512)
+      {"avx512", __builtin_cpu_supports("avx512f") != 0, &avx512::kernels},
+#endif
+  };
+  return table;
+}
+
+const kernel_fns& active_kernels() {
+  static const kernel_fns& active = []() -> const kernel_fns& {
+    const std::span<const kernel_variant> all = kernel_variants();
+    for (std::size_t i = all.size(); i-- > 0;)
+      if (all[i].supported) return *all[i].fns;
+    return generic::kernels;
+  }();
+  return active;
+}
+
 template <typename T>
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, T alpha, const T* A,
              std::size_t lda, const T* B, std::size_t ldb, T beta, T* C,
              std::size_t ldc) {
-  scale_matrix(m, n, beta, C, ldc);
-  if (m == 0 || n == 0 || k == 0 || alpha == T{0}) return;
-  for (std::size_t kk = 0; kk < k; kk += kKc) {
-    const std::size_t kb = std::min(kKc, k - kk);
-    for (std::size_t ii = 0; ii < m; ii += kMc) {
-      const std::size_t mb = std::min(kMc, m - ii);
-      std::size_t j = 0;
-      for (; j + kNr <= n; j += kNr) {
-        T* c0 = C + (j + 0) * ldc + ii;
-        T* c1 = C + (j + 1) * ldc + ii;
-        T* c2 = C + (j + 2) * ldc + ii;
-        T* c3 = C + (j + 3) * ldc + ii;
-        for (std::size_t p = 0; p < kb; ++p) {
-          const T* a = A + (kk + p) * lda + ii;
-          const T b0 = alpha * B[(j + 0) * ldb + kk + p];
-          const T b1 = alpha * B[(j + 1) * ldb + kk + p];
-          const T b2 = alpha * B[(j + 2) * ldb + kk + p];
-          const T b3 = alpha * B[(j + 3) * ldb + kk + p];
-          for (std::size_t i = 0; i < mb; ++i) {
-            const T av = a[i];
-            c0[i] += av * b0;
-            c1[i] += av * b1;
-            c2[i] += av * b2;
-            c3[i] += av * b3;
-          }
-        }
-      }
-      for (; j < n; ++j) {
-        T* c = C + j * ldc + ii;
-        for (std::size_t p = 0; p < kb; ++p) {
-          const T* a = A + (kk + p) * lda + ii;
-          const T b = alpha * B[j * ldb + kk + p];
-          for (std::size_t i = 0; i < mb; ++i) c[i] += a[i] * b;
-        }
-      }
-    }
-  }
+  static_assert(std::is_same_v<T, double>, "chunk kernels are double only");
+  active_kernels().gemm_nn(m, n, k, alpha, A, lda, B, ldb, beta, C, ldc);
 }
 
 template <typename T>
@@ -103,15 +84,14 @@ template <typename T>
 void gemm_tn_acc(std::size_t m, std::size_t n, std::size_t k, const T* A,
                  std::size_t lda, const T* B, std::size_t ldb, T* C,
                  std::size_t ldc) {
-  for (std::size_t j = 0; j < n; ++j) {
-    const T* b = B + j * ldb;
-    for (std::size_t i = 0; i < m; ++i) {
-      const T* a = A + i * lda;
-      T c = C[j * ldc + i];
-      for (std::size_t p = 0; p < k; ++p) c += a[p] * b[p];
-      C[j * ldc + i] = c;
-    }
-  }
+  static_assert(std::is_same_v<T, double>, "chunk kernels are double only");
+  active_kernels().gemm_tn_acc(m, n, k, A, lda, B, ldb, C, ldc);
+}
+
+void sqdist_nn(std::size_t m, std::size_t n, std::size_t k, const double* A,
+               std::size_t lda, const double* B, std::size_t ldb, double* C,
+               std::size_t ldc) {
+  active_kernels().sqdist_nn(m, n, k, A, lda, B, ldb, C, ldc);
 }
 
 template <typename T>
@@ -132,9 +112,6 @@ void gemv(std::size_t m, std::size_t n, T alpha, const T* A, std::size_t lda,
 template void gemm_nn<double>(std::size_t, std::size_t, std::size_t, double,
                               const double*, std::size_t, const double*,
                               std::size_t, double, double*, std::size_t);
-template void gemm_nn<float>(std::size_t, std::size_t, std::size_t, float,
-                             const float*, std::size_t, const float*,
-                             std::size_t, float, float*, std::size_t);
 template void gemm_tn<double>(std::size_t, std::size_t, std::size_t, double,
                               const double*, std::size_t, const double*,
                               std::size_t, double, double*, std::size_t);
@@ -144,9 +121,6 @@ template void gemm_tn<float>(std::size_t, std::size_t, std::size_t, float,
 template void gemm_tn_acc<double>(std::size_t, std::size_t, std::size_t,
                                   const double*, std::size_t, const double*,
                                   std::size_t, double*, std::size_t);
-template void gemm_tn_acc<float>(std::size_t, std::size_t, std::size_t,
-                                 const float*, std::size_t, const float*,
-                                 std::size_t, float*, std::size_t);
 template void gemv<double>(std::size_t, std::size_t, double, const double*,
                            std::size_t, const double*, double, double*);
 template void gemv<float>(std::size_t, std::size_t, float, const float*,

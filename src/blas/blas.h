@@ -1,10 +1,16 @@
 // Dense linear-algebra kernels.
 //
 // The paper links against ATLAS for floating-point matrix multiplication
-// (Table 2); this container has no BLAS, so we provide our own cache-blocked,
-// vectorization-friendly kernels. They serve two roles:
-//   * per-Pcache-partition GEMM inside the inner.prod GenOp fast path
-//     (tall partition chunk times a small right-hand matrix), and
+// (Table 2); this tree has no BLAS and provides its own kernels. They serve
+// two roles:
+//   * the chunk kernels of the GenOp fast paths: gemm_nn (tall partition
+//     chunk times a small right-hand matrix, inner.prod), gemm_tn_acc
+//     (crossprod sinks) and sqdist_nn (inner.prod with sqdiff/sum, the
+//     k-means distance). They are register-blocked micro-kernels
+//     (blas/microkernel.h), built once per ISA and picked by CPU at first
+//     use (blas/variants.h). Every output element folds its depth index in
+//     order with separate multiply and add, so results are bit-identical to
+//     a plain scalar loop on every ISA (DESIGN.md §11.2);
 //   * host-side math on small matrices (Cholesky, eigensolve, solves) needed
 //     by PCA, GMM, mvrnorm and LDA.
 //
@@ -16,7 +22,9 @@
 
 namespace flashr::blas {
 
-/// C = alpha * A * B + beta * C.  A is m×k, B is k×n, C is m×n.
+/// C = alpha * A * B + beta * C.  A is m×k, B is k×n, C is m×n. Per
+/// element: C = beta * C (0 when beta is 0), then C += A[i,p] * (alpha *
+/// B[p,j]) for p = 0..k-1 in order. Built for T = double.
 template <typename T>
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, T alpha, const T* A,
              std::size_t lda, const T* B, std::size_t ldb, T beta, T* C,
@@ -35,11 +43,17 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, T alpha, const T* A,
 /// number of calls yields bit-identical C. The chunked crossprod sinks use
 /// this so exec's Pcache chunk-size degradation cannot perturb results
 /// (DESIGN.md §11.2); k is a Pcache chunk there, small enough that the
-/// unblocked column walk stays cache-resident.
+/// depth walk stays cache-resident. Built for T = double.
 template <typename T>
 void gemm_tn_acc(std::size_t m, std::size_t n, std::size_t k, const T* A,
                  std::size_t lda, const T* B, std::size_t ldb, T* C,
                  std::size_t ldc);
+
+/// C[i,j] = sum_p (A[i,p] - B[p,j])^2, folded from +0 in p order: the
+/// k-means distance, inner.prod(A, B, sqdiff, sum). A is m×k, B is k×n.
+void sqdist_nn(std::size_t m, std::size_t n, std::size_t k, const double* A,
+               std::size_t lda, const double* B, std::size_t ldb, double* C,
+               std::size_t ldc);
 
 /// y = alpha * A * x + beta * y. A is m×n.
 template <typename T>

@@ -267,11 +267,18 @@ void inner_prod(scalar_type t, bop_id f1, agg_id f2, view a, std::size_t rows,
                 std::size_t out_stride) {
   const std::size_t k = B.ncol();
   FLASHR_ASSERT(B.nrow() == p, "inner_prod: B row count mismatch");
-  // Fast path: the ordinary matrix product on doubles.
-  if (f1 == bop_id::mul && f2 == agg_id::sum && t == scalar_type::f64) {
-    blas::gemm_nn(rows, k, p, 1.0, reinterpret_cast<const double*>(a.data),
-                  a.stride, B.data(), B.nrow(), 0.0,
-                  reinterpret_cast<double*>(out), out_stride);
+  // Fast paths on doubles: the ordinary matrix product and the squared
+  // distance, both the same fold as the generic loop below.
+  if (t == scalar_type::f64 && f2 == agg_id::sum &&
+      (f1 == bop_id::mul || f1 == bop_id::sqdiff)) {
+    const double* A = reinterpret_cast<const double*>(a.data);
+    double* C = reinterpret_cast<double*>(out);
+    if (f1 == bop_id::mul)
+      blas::gemm_nn(rows, k, p, 1.0, A, a.stride, B.data(), B.nrow(), 0.0, C,
+                    out_stride);
+    else
+      blas::sqdist_nn(rows, k, p, A, a.stride, B.data(), B.nrow(), C,
+                      out_stride);
     return;
   }
   dispatch_type(t, [&]<typename T>() {

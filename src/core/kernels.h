@@ -45,7 +45,8 @@ void sweep_rowvec(scalar_type t, bop_id op, view a, const double* v,
 
 /// Generalized inner product of an rows×p chunk with a p×k small matrix:
 /// acc_j = f2-combine over i of f1(A_ri, B_ij). f2 in {sum, min_v, max_v}.
-/// Fast path: f1 = mul, f2 = sum, floating T -> blas::gemm_nn.
+/// Fast paths, f64 with f2 = sum: f1 = mul -> blas::gemm_nn, f1 = sqdiff
+/// -> blas::sqdist_nn.
 void inner_prod(scalar_type t, bop_id f1, agg_id f2, view a, std::size_t rows,
                 std::size_t p, const smat& B, char* out,
                 std::size_t out_stride);
@@ -109,7 +110,7 @@ void agg_col_acc(scalar_type t, agg_id op, view a, std::size_t rows,
 
 /// Generalized t(A) %*% B accumulation: acc (m×k, col-major, type t,
 /// stride m) += f2-combine over chunk rows of f1(A_ri, B_rj). A is rows×m,
-/// B is rows×k. Fast path f1 = mul, f2 = sum, floating T -> blas::gemm_tn.
+/// B is rows×k. Fast path f1 = mul, f2 = sum, f64 -> blas::gemm_tn_acc.
 void tmm_acc(scalar_type t, bop_id f1, agg_id f2, view a, view b,
              std::size_t rows, std::size_t m, std::size_t k, char* acc);
 

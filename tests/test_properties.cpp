@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <optional>
 
 #include "common/check.h"
 #include "common/config.h"
 #include "common/error.h"
+#include "common/rng.h"
 #include "core/dense_matrix.h"
 #include "core/exec.h"
 #include "io/fault.h"
@@ -407,6 +409,58 @@ TEST_F(ExecRecycling, BitIdenticalAndBoundedAcrossConfigs) {
             expect_identical(r, *golden);
         }
         EXPECT_EQ(pool.outstanding_count(), count0);
+      }
+    }
+  }
+}
+
+// The register-blocked chunk kernels under the engine: a k-means step
+// (inner.prod sqdiff/sum -> which.min -> groupby) and a tall × small
+// product, bit-identical across exec modes, threads and chunk sizes. 5003
+// rows leave a 395-row last partition, so partition tails reach the kernels'
+// narrow and lane-masked tiles.
+TEST_F(ExecRecycling, KernelDagsBitIdenticalAcrossConfigs) {
+  constexpr std::size_t kRows = 5003, kP = 12, kK = 5, kOut = 7;
+  smat centers_t(kP, kK), A(kP, kOut);
+  rng64 rng(31);
+  for (std::size_t i = 0; i < kP * kK; ++i)
+    centers_t.data()[i] = rng.next_normal();
+  for (std::size_t i = 0; i < kP * kOut; ++i) A.data()[i] = rng.next_normal();
+  auto bits = [](const smat& m) {
+    return std::vector<double>(m.data(), m.data() + m.nrow() * m.ncol());
+  };
+  const std::size_t pcaches[] = {16 * kP * sizeof(double),
+                                 options{}.pcache_bytes, std::size_t{1} << 30};
+  std::optional<std::vector<std::vector<double>>> golden;
+  for (exec_mode mode :
+       {exec_mode::cache_fuse, exec_mode::mem_fuse, exec_mode::eager}) {
+    for (int threads : {1, 2, 4}) {
+      for (std::size_t pcache : pcaches) {
+        SCOPED_TRACE(std::string(exec_mode_name(mode)) + " threads=" +
+                     std::to_string(threads) +
+                     " pcache=" + std::to_string(pcache));
+        init_with(threads, mode, pcache);
+        const dense_matrix X = conv_store(
+            dense_matrix::rnorm(kRows, kP, 0.0, 1.0, 32), storage::in_mem);
+        const dense_matrix D =
+            inner_prod(X, centers_t, bop_id::sqdiff, agg_id::sum);
+        const dense_matrix sums =
+            groupby_row(X, which_min_row(D), kK, agg_id::sum);
+        const dense_matrix XA = matmul(X, dense_matrix::from_smat(A));
+        materialize_all({D, sums, XA});
+        std::vector<std::vector<double>> got = {
+            bits(D.to_smat()), bits(sums.to_smat()), bits(XA.to_smat())};
+        if (!golden) {
+          golden = std::move(got);
+          continue;
+        }
+        for (std::size_t r = 0; r < got.size(); ++r) {
+          ASSERT_EQ(got[r].size(), (*golden)[r].size());
+          EXPECT_EQ(std::memcmp(got[r].data(), (*golden)[r].data(),
+                                got[r].size() * sizeof(double)),
+                    0)
+              << "result " << r;
+        }
       }
     }
   }

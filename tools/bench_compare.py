@@ -5,7 +5,7 @@ Matches records between a baseline and a candidate document by their
 configuration fields (everything that is not a measurement), then reports:
 
   * per matched record: each ``*seconds`` (lower is better) and ``*_gbps``
-    (higher is better) measurement's relative change, flagged as a
+    / ``*gflops`` (higher is better) measurement's relative change, flagged as a
     REGRESSION when the candidate is worse than baseline by more than
     --threshold (default 25% — shared-runner noise is real);
   * engine counters (the embedded "engine" object): pass/io counter deltas,
@@ -41,7 +41,8 @@ def is_measurement(key: str) -> bool:
     record.  Derived ratios (speedup, occupancy) are measurements too — keying
     on them would make records unmatchable across runs."""
     return (key == "seconds" or key.endswith("_seconds")
-            or key.endswith("_gbps")
+            or key.endswith("_gbps") or key.endswith("gflops")
+            or key.endswith("_frac")
             or "speedup" in key or "occupancy" in key
             or key in ("wall_ns", "kernel_ns", "coverage"))
 
@@ -85,7 +86,8 @@ def compare(base: dict, cand: dict, threshold: float,
             line = (f"{fmt_key(key)}: {mkey} {bv:.4g} -> {cv:.4g} "
                     f"({delta:+.1%})")
             slower = (delta > threshold if mkey.endswith("seconds")
-                      else -delta > threshold if mkey.endswith("_gbps")
+                      else -delta > threshold
+                      if mkey.endswith(("_gbps", "gflops"))
                       else False)
             if slower:
                 line = "REGRESSION " + line
@@ -235,6 +237,18 @@ def self_test() -> int:
                for r in tregs), tregs
     assert not any("mode=eager" in r for r in tregs), tregs
     assert any("MISSING" not in r for r in treport), treport
+    # Kernel rooflines (BENCH_kernels.json): gflops is higher-is-better and,
+    # like peak_frac, a measurement rather than part of the record's key.
+    kbase = {"bench": "kernels",
+             "records": [{"kernel": "gemm_nn", "variant": "avx512",
+                          "gflops": 20.0, "peak_frac": 0.32}]}
+    kcand = {"bench": "kernels",
+             "records": [{"kernel": "gemm_nn", "variant": "avx512",
+                          "gflops": 12.0, "peak_frac": 0.19}]}
+    kreport, kregs = compare(kbase, kcand, 0.25, 0.10)
+    assert not any("MISSING" in r for r in kreport), kreport
+    assert any("gflops" in r and r.startswith("REGRESSION")
+               for r in kregs), kregs
     assert any("MISSING" in r and "depth=8" in r for r in regressions)
     assert any("read_bytes" in r and r.startswith("REGRESSION")
                for r in regressions)
