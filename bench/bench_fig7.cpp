@@ -14,11 +14,6 @@
 #include "bench_common.h"
 
 #include <algorithm>
-#include <chrono>
-#include <csignal>
-#include <cstdlib>
-#include <cstring>
-#include <thread>
 
 #include "baseline/rowstream.h"
 #include "obs/profile.h"
@@ -123,11 +118,7 @@ void explain_analyze_coverage(const dense_matrix& X, bench_json& out) {
   set_mode(saved);
 }
 
-volatile std::sig_atomic_t g_hold_stop = 0;
-
 }  // namespace
-
-extern "C" void on_hold_signal(int) { g_hold_stop = 1; }
 
 int main() {
   bench_init("fig7");
@@ -190,19 +181,5 @@ int main() {
               "per-op engine 3-20x slower than FlashR-IM.\n");
   explain_analyze_coverage(em.criteo.X, out);
   out.write();
-
-  // CI sets FLASHR_HTTP_HOLD=<seconds> to keep the process (and therefore the
-  // FLASHR_HTTP stats server) alive after the figure finishes, so /metrics
-  // can be scraped deterministically.  SIGTERM breaks the hold but still
-  // returns through main so atexit handlers (trace flush) run.
-  if (const char* hold = std::getenv("FLASHR_HTTP_HOLD")) {
-    const int deci = std::atoi(hold) * 10;
-    std::signal(SIGTERM, on_hold_signal);
-    std::signal(SIGINT, on_hold_signal);
-    std::printf("holding for scrape (FLASHR_HTTP_HOLD=%s)\n", hold);
-    std::fflush(stdout);
-    for (int i = 0; i < deci && g_hold_stop == 0; ++i)
-      std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  }
   return 0;
 }

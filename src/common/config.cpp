@@ -9,12 +9,9 @@
 
 #include "common/error.h"
 #include "common/log.h"
-#include "obs/incident.h"
 #include "obs/metrics.h"
-#include "obs/prof_store.h"
 #include "obs/profile.h"
 #include "obs/sampler.h"
-#include "obs/stats_server.h"
 #include "obs/trace.h"
 
 namespace flashr {
@@ -77,14 +74,8 @@ void options::validate() const {
                "obs_ring_events must be a power of two >= 16");
   FLASHR_CHECK(obs_profile_history >= 1,
                "obs_profile_history must be >= 1");
-  FLASHR_CHECK(obs_http_port >= -1 && obs_http_port <= 65535,
-               "obs_http_port must be -1 (off) or a port number");
-  FLASHR_CHECK(obs_flight_secs >= 1, "obs_flight_secs must be >= 1");
-  FLASHR_CHECK(incident_max_bundles >= 1,
-               "incident_max_bundles must be >= 1");
   FLASHR_CHECK(obs_sample_hz >= 0 && obs_sample_hz <= 10000,
                "obs_sample_hz must be in [0, 10000]");
-  FLASHR_CHECK(obs_prof_keep >= 1, "obs_prof_keep must be >= 1");
 }
 
 namespace {
@@ -137,28 +128,6 @@ void init(const options& opts) {
       if (std::string_view(env) != "1") g_options.obs_sample_path = env;
     }
   }
-  // FLASHR_PROF_DIR=<dir> arms the profile-history store: one
-  // flashr-prof-v1 record appended per process exit.
-  if (const char* env = std::getenv("FLASHR_PROF_DIR");
-      env != nullptr && *env != '\0') {
-    g_options.obs_prof_dir = env;
-  }
-  // FLASHR_HTTP=<port> starts the stats server (0 = ephemeral port).
-  if (const char* env = std::getenv("FLASHR_HTTP");
-      env != nullptr && *env != '\0') {
-    g_options.obs_http_port = std::atoi(env);
-  }
-  // FLASHR_FLIGHT=0 disables the always-on flight recorder; any other value
-  // (or unset) leaves it on.
-  if (const char* env = std::getenv("FLASHR_FLIGHT");
-      env != nullptr && *env != '\0') {
-    g_options.obs_flight = std::string_view(env) != "0";
-  }
-  // FLASHR_INCIDENT_DIR=<dir> arms incident bundles + the crash handler.
-  if (const char* env = std::getenv("FLASHR_INCIDENT_DIR");
-      env != nullptr && *env != '\0') {
-    g_options.incident_dir = env;
-  }
   // FLASHR_LOG_LEVEL=none|warn|info|debug (or 0..3) filters the log sink.
   if (const char* env = std::getenv("FLASHR_LOG_LEVEL");
       env != nullptr && *env != '\0') {
@@ -169,11 +138,10 @@ void init(const options& opts) {
       FLASHR_WARN("FLASHR_LOG_LEVEL: unknown level '%s' (ignored)", env);
   }
   obs::set_trace_enabled(g_options.obs_trace);
-  obs::set_flight_enabled(g_options.obs_flight);
   obs::set_metrics_enabled(g_options.obs_metrics);
   obs::set_profile_enabled(g_options.obs_profile);
-  // Sampler counters register even while off so /metrics always exports
-  // flashr_sampler_*; the sampler itself starts only when a rate is set.
+  // Sampler counters register even while off so the metrics always carry
+  // sampler.*; the sampler itself starts only when a rate is set.
   obs::sampler_register_metrics();
   if (g_options.obs_sample_hz > 0) {
     obs::sampler_start(g_options.obs_sample_hz);
@@ -187,14 +155,6 @@ void init(const options& opts) {
   } else {
     obs::sampler_stop();
   }
-  if (!g_options.obs_prof_dir.empty())
-    obs::prof_store_arm(g_options.obs_prof_dir, g_options.obs_prof_keep);
-  else
-    obs::prof_store_disarm();
-  if (g_options.obs_http_port >= 0)
-    obs::stats_server::global().start(g_options.obs_http_port);
-  else
-    obs::stats_server::global().stop();
   if (g_options.obs_trace && !g_options.obs_trace_path.empty()) {
     static const bool registered = [] {
       std::atexit(write_trace_at_exit);
@@ -203,14 +163,6 @@ void init(const options& opts) {
     (void)registered;
   }
   g_initialized = true;
-  // Incident subsystem last, after g_initialized: the monitor thread reads
-  // conf(), which must not re-enter init(). Counters register even while
-  // disarmed so /metrics always exports flashr_incident_*.
-  obs::incident_register_metrics();
-  if (!g_options.incident_dir.empty())
-    obs::incident_arm(g_options.incident_dir);
-  else
-    obs::incident_disarm();
   FLASHR_DEBUG("initialized: threads=%d io_threads=%d part_rows=%zu mode=%s",
                g_options.num_threads, g_options.io_threads,
                g_options.io_part_rows, exec_mode_name(g_options.mode));
@@ -225,8 +177,6 @@ const options& conf() {
   if (!g_initialized) init(options());
   return g_options;
 }
-
-bool initialized() { return g_initialized; }
 
 options& mutable_conf() {
   if (!g_initialized) init(options());

@@ -179,29 +179,13 @@ struct options {
   /// When non-empty, write the trace here automatically at process exit.
   /// FLASHR_TRACE=<path> (any value other than "0"/"1") sets this too.
   std::string obs_trace_path;
-  /// Collect per-node pass profiles (obs/profile.h) for explain_analyze(),
-  /// the pass-history ring and the stats server's /passes endpoint. Also
-  /// enabled by a non-empty, non-"0" FLASHR_PROFILE environment variable at
-  /// init(); off costs one relaxed load per materialization.
+  /// Collect per-node pass profiles (obs/profile.h) for explain_analyze()
+  /// and the pass-history ring. Also enabled by a non-empty, non-"0"
+  /// FLASHR_PROFILE environment variable at init(); off costs one relaxed
+  /// load per materialization.
   bool obs_profile = false;
   /// Pass profiles kept in the bounded history ring (most recent N).
   std::size_t obs_profile_history = 64;
-  /// When >= 0, init() serves /metrics (Prometheus text format), /healthz,
-  /// /passes and /explain/last on 127.0.0.1:<port> from a background thread
-  /// (obs/stats_server.h). 0 binds an ephemeral port (read it back via
-  /// obs::stats_server::global().port()). Also set by FLASHR_HTTP=<port>.
-  /// -1 (default) = no server.
-  int obs_http_port = -1;
-  /// Keep the always-on flight recorder retaining the last seconds of spans
-  /// and instants per thread in small fixed rings (obs/trace.h), independent
-  /// of obs_trace, so incident bundles and crash dumps always have a tail to
-  /// show. Default ON (the cost is the same relaxed-load gate tracing pays
-  /// plus ~64 KiB per thread); FLASHR_FLIGHT=0 disables it.
-  bool obs_flight = true;
-  /// Flight-recorder window included in incident bundles, seconds. The
-  /// rings are bounded by capacity, not time; this only bounds how far back
-  /// a bundle reaches.
-  int obs_flight_secs = 30;
   /// Continuous sampling profiler (obs/sampler.h): per-thread SIGPROF
   /// timers at this frequency capture frame-pointer stacks plus the
   /// current pass/DAG-node context into lock-free rings; a collector
@@ -214,27 +198,6 @@ struct options {
   /// collapsed format) here at process exit. FLASHR_SAMPLE=<path> sets
   /// this too.
   std::string obs_sample_path;
-  /// Export histograms on /metrics as native Prometheus `histogram`
-  /// families with cumulative _bucket{le="..."} samples (power-of-two
-  /// boundaries) instead of the default `summary` quantiles.
-  bool obs_prom_buckets = false;
-  /// When non-empty, append one flashr-prof-v1 profile-history record
-  /// (sampler aggregates: per-node sample counts + folded stacks) here at
-  /// process exit, retention-bounded like incident bundles. Also set by
-  /// FLASHR_PROF_DIR. tools/bench_compare.py --attribute diffs two records
-  /// to name the DAG node and stack that regressed.
-  std::string obs_prof_dir;
-  /// Profile-history records retained in obs_prof_dir; oldest pruned.
-  int obs_prof_keep = 32;
-  /// When non-empty, arm the incident subsystem (obs/incident.h): watchdog
-  /// trips, governor escalations, invariant/lock-rank aborts, exhausted I/O
-  /// retries and SIGUSR2 each drop a JSON post-mortem bundle here, and the
-  /// crash handler dumps raw black-box state on SIGSEGV/SIGBUS/SIGABRT/
-  /// SIGFPE. Also set by FLASHR_INCIDENT_DIR.
-  std::string incident_dir;
-  /// Incident bundles retained in incident_dir; the oldest are pruned.
-  /// Crash dumps are never pruned.
-  int incident_max_bundles = 16;
 
   void validate() const;
 };
@@ -249,12 +212,6 @@ void shutdown();
 
 /// Current configuration; initializes with defaults on first use.
 const options& conf();
-
-/// Whether init() has run (and shutdown() has not). Lets monitoring paths
-/// (e.g. the stats server's /healthz route) read a consistent "not running"
-/// answer without triggering lazy engine initialization — the serve thread
-/// must never call init(), which (re)starts the stats server itself.
-bool initialized();
 
 /// Mutable access for test/bench knobs that are safe to flip between DAG
 /// executions (mode, throttle, pcache size).

@@ -1,8 +1,8 @@
 #include "common/error.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
-
-#include "obs/crash_handler.h"
 
 namespace flashr {
 
@@ -92,14 +92,6 @@ void assert_fail(const char* expr, const char* file, int line,
                  const std::string& msg) {
   std::fprintf(stderr, "flashr assertion failed: %s at %s:%d: %s\n", expr,
                file, line, msg.c_str());
-  // Black-box dump before dying (no-op unless the crash handler is armed).
-  // Fixed buffer, no allocation: a lock-rank abort arrives holding engine
-  // locks, and the least surprising composition wins right before abort().
-  // The subsequent SIGABRT handler finds the dump-once guard already taken.
-  char reason[512];
-  std::snprintf(reason, sizeof(reason), "assert: %s at %s:%d: %s", expr, file,
-                line, msg.c_str());
-  obs::crash_dump_now(0, reason);
   std::abort();
 }
 

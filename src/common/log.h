@@ -11,12 +11,8 @@
 
 #include <cstdarg>
 #include <functional>
-#include <string>
-#include <vector>
 
 namespace flashr {
-
-struct raw_sink;  // common/raw_sink.h
 
 enum class log_level : int { none = 0, warn = 1, info = 2, debug = 3 };
 
@@ -47,18 +43,6 @@ void set_log_sink(log_sink sink);
 
 void log_msg(log_level lvl, const char* fmt, ...)
     __attribute__((format(printf, 2, 3)));
-
-/// The last emitted log records (newest last), each as "[level] message".
-/// Every record that clears the level gate is also retained in a small
-/// fixed in-process ring regardless of the active sink, so incident
-/// bundles can include the log tail. Returns at most `max` records.
-std::vector<std::string> log_tail(int max);
-
-/// Crash-path dump of the same ring as a LOGR section (raw binary; see
-/// obs/crash_handler.h for framing). Async-signal-safe: reads the ring
-/// with relaxed atomics into a static snapshot, never takes the logger
-/// mutex — a record being written concurrently may come out truncated.
-void log_dump_raw(raw_sink& sink) noexcept;
 
 }  // namespace flashr
 

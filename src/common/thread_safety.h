@@ -107,12 +107,12 @@
 #define FLASHR_BLOCKING_EXEMPT(why) \
   FLASHR_ANNOTATE("flashr_blocking_exempt:" why)
 
-/// Marks a function as async-signal-safe: it may run inside the crash
-/// handler (obs/crash_handler.cpp) after SIGSEGV/SIGBUS/SIGABRT/SIGFPE,
-/// where the interrupted thread may hold ANY lock (including malloc's).
+/// Marks a function as async-signal-safe: it may run inside a signal
+/// handler (the sampler's SIGPROF handler, obs/sampler.cpp), where the
+/// interrupted thread may hold ANY lock (including malloc's).
 /// The analyzer verifies nothing reachable from it takes a mutex of any
-/// rank (nonblocking_safe does not help — the crashed thread may hold that
-/// very mutex), allocates, or calls blocking library I/O other than the
+/// rank (nonblocking_safe does not help — the interrupted thread may hold
+/// that very mutex), allocates, or calls blocking library I/O other than the
 /// raw write/fsync/close family. Strictly stronger than FLASHR_NONBLOCKING.
 #define FLASHR_SIGNAL_SAFE FLASHR_ANNOTATE("flashr_signal_safe")
 
@@ -155,33 +155,12 @@ inline constexpr rank_t async_queue{600, "async_queue", false};
 inline constexpr rank_t buffer_pool{650, "buffer_pool", true};
 inline constexpr rank_t metrics_registry{700, "metrics_registry", false};
 inline constexpr rank_t trace_registry{750, "trace_registry", false};
-// Profile-history store bookkeeping (obs/prof_store.cpp): armed directory
-// and retention count. Held across record composition, which drains the
-// sampler's aggregates — so it must rank BELOW sampler.
-inline constexpr rank_t prof_store{760, "prof_store", false};
 // Sampling-profiler collector state (obs/sampler.cpp): thread registry,
 // folded aggregates, symbol cache. Acquired by thread attach/detach (may
 // run under trace_registry from set_thread_name), the collector's drain
 // tick, and export paths that hold nothing else; the SIGPROF handler
 // itself never touches it (per-thread rings are lock-free SPSC).
 inline constexpr rank_t sampler{770, "sampler", false};
-// Innermost: conf() lazily runs config init, which may start/stop the HTTP
-// stats server — so the server's own lock can be acquired under whatever
-// the first conf() caller happens to hold (pass accumulators, the prefetch
-// window, the profiler). It protects only the server's listener state and
-// is never held across another ranked acquisition.
-inline constexpr rank_t stats_server{800, "stats_server", false};
-// Innermost, same reasoning as stats_server: conf() lazy init may arm the
-// incident monitor, so this lock is acquired under whatever the first
-// conf() caller holds. It guards only arm/disarm bookkeeping (bundle dir,
-// monitor thread handle, trigger-pipe fd) for a few copies/stores and is
-// never held across a ranked acquisition — the monitor thread composes
-// bundles (governor health, io-backend snapshots, metrics, profile
-// history) with NO lock held, from copies it took at arm time. Trigger
-// requests themselves are lock-free (atomic slot + self-pipe) precisely
-// because they fire from under governor/watchdog locks and from the
-// crash handler.
-inline constexpr rank_t incident{900, "incident", false};
 
 }  // namespace lock_rank
 
@@ -192,8 +171,6 @@ inline constexpr rank_t incident{900, "incident", false};
 /// rank is nonblocking-safe is a property of the rank table entry, not of
 /// the declaration.
 #define LOCK_RANK(name) {::flashr::lock_rank::name}
-
-struct raw_sink;  // common/raw_sink.h — buffered fd writer for crash dumps
 
 namespace detail {
 /// Runtime lock-rank checker (src/common/lock_rank.cpp). Thread-local rank
@@ -206,26 +183,6 @@ void rank_forget(const void* m) noexcept;
 /// Test/introspection hook: ranks currently held by this thread, in
 /// acquisition order, written into out[0..max); returns the held count.
 int held_ranks(int* out, int max) noexcept;
-
-/// One thread's held-rank stack as seen from another thread. Populated only
-/// while invariants are enabled (the rank stack is maintained under the
-/// same gate as the checker); `depth` may exceed the array when clamped.
-struct thread_ranks {
-  unsigned tid;        ///< OS thread id (gettid)
-  int depth;           ///< held count (clamped to kMaxHeldRanks entries)
-  int values[16];      ///< rank values, acquisition order
-  const char* names[16];  ///< rank names from the table (static storage)
-};
-
-/// Snapshot every live thread's held-rank stack into out[0..max); returns
-/// the number written. Lock-free (relaxed atomics over a fixed registry);
-/// concurrent lock/unlock may yield a momentarily inconsistent stack for a
-/// thread, which is acceptable for diagnostics.
-int held_ranks_all_threads(thread_ranks* out, int max) noexcept;
-
-/// Crash-path dump of the same registry as a RANK section (raw binary, see
-/// obs/crash_handler.h for framing). Async-signal-safe.
-void rank_dump_raw(raw_sink& sink) noexcept FLASHR_SIGNAL_SAFE;
 }  // namespace detail
 
 /// std::mutex with the capability attribute the analysis needs. Satisfies

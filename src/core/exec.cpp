@@ -22,7 +22,6 @@
 #include "matrix/generated_store.h"
 #include "matrix/mem_store.h"
 #include "mem/numa.h"
-#include "obs/incident.h"
 #include "obs/metrics.h"
 #include "obs/profile.h"
 #include "obs/sampler.h"
@@ -89,12 +88,10 @@ struct cum_chain {
 // The fused pass
 // ---------------------------------------------------------------------------
 
-/// Guards the published last_pass_stats() snapshot, the list of live calls,
-/// and the fields of a live call that active_passes_json() reads while the
-/// call runs (see pass_ctl).
+/// Guards the published last_pass_stats() snapshot.
 mutex g_stats_mutex LOCK_RANK(pass_stats);
 
-/// Ids for error payloads and /passes correlation.
+/// Ids for error payloads.
 std::atomic<std::uint64_t> g_pass_id{0};
 
 /// Per-chunk evaluation state for one node. Entries live in a flat array
@@ -302,9 +299,6 @@ class pass_runner {
 /// g_stats_mutex so a monitoring thread (or an obs probe) can read it
 /// concurrently with a running pass.
 pass_stats g_last_stats GUARDED_BY(g_stats_mutex);
-/// Live materialize() calls (incident bundles, /debug/stacks): the running
-/// one plus any queued for admission.
-std::vector<const pass_ctl*> g_active GUARDED_BY(g_stats_mutex);
 
 /// Adds the movement of the process-wide I/O counters over its lifetime
 /// into a call's stats. The governor runs one pass at a time, so a bracket
@@ -1006,9 +1000,8 @@ void pass_runner::eval_virtual(thread_ctx& ctx, int id, chunk_buf& out) {
   };
 
   // Kernel execution: node_kind_name() returns a string literal, which
-  // satisfies the span's static-storage requirement. Per node per chunk,
-  // so trace-only: the flight recorder keeps the pass/partition context.
-  OBS_SPAN_HOT(node_kind_name(op.kind), rows);
+  // satisfies the span's static-storage requirement.
+  OBS_SPAN_ARG(node_kind_name(op.kind), rows);
   // Samples landing in the kernel (or its allocation) attribute to this
   // node's plan id; nested ensure() calls already closed their own scopes.
   obs::sample_node_scope sample_scope(prof_id(id));
@@ -1101,7 +1094,7 @@ void pass_runner::eval_virtual(thread_ctx& ctx, int id, chunk_buf& out) {
 }
 
 void pass_runner::process_chunk(thread_ctx& ctx) {
-  OBS_SPAN_HOT("chunk", ctx.chunk_row0);
+  OBS_SPAN_ARG("chunk", ctx.chunk_row0);
   ++ctx.gen;
   // Tall outputs: evaluate and copy the chunk into the partition store.
   for (std::size_t i = 0; i < dag_.tall_ids.size(); ++i) {
@@ -1264,21 +1257,6 @@ void run_eager(const dag_info& plan, storage st, pass_ctl& ctl) {
 
 }  // namespace
 
-void pass_ctl::degrade(const std::string& step) {
-  {
-    mutex_lock lock(g_stats_mutex);
-    if (!stats.degrade_path.empty()) stats.degrade_path += ',';
-    stats.degrade_path += step;
-    ++stats.degrade_steps;
-  }
-  resource_governor::global().count_degrade_step();
-}
-
-void pass_ctl::note_admission_wait() {
-  mutex_lock lock(g_stats_mutex);
-  ++stats.admission_waits;
-}
-
 pass_stats last_pass_stats() {
   mutex_lock lock(g_stats_mutex);
   return g_last_stats;
@@ -1299,29 +1277,6 @@ std::string pass_stats::to_json() const {
   s += degrade_path;
   s += "\"}";
   return s;
-}
-
-std::string active_passes_json() {
-  const std::uint64_t now = now_ns();
-  mutex_lock lock(g_stats_mutex);
-  std::string out = "[";
-  for (const pass_ctl* p : g_active) {
-    if (out.size() > 1) out += ',';
-    out += "{\"pass_id\":" + std::to_string(p->pass_id);
-    out += ",\"start_ns\":" + std::to_string(p->start_ns);
-    out += ",\"elapsed_ns\":" +
-           std::to_string(now > p->start_ns ? now - p->start_ns : 0);
-    out += ",\"deadline_ms\":" + std::to_string(p->deadline_ms);
-    out += ",\"mode\":\"";
-    out += exec_mode_name(p->mode);
-    out += "\",\"degrade\":\"";
-    out += p->stats.degrade_path;  // [a-z0-9:>,-], no escaping needed
-    out += "\",\"admission_waits\":" +
-           std::to_string(p->stats.admission_waits);
-    out += "}";
-  }
-  out += "]";
-  return out;
 }
 
 void materialize(const std::vector<matrix_store::ptr>& targets, storage st) {
@@ -1350,30 +1305,21 @@ void materialize(const std::vector<matrix_store::ptr>& targets, storage st,
   // included.
   pass_ctl ctl;
   ctl.pass_id = g_pass_id.fetch_add(1, std::memory_order_relaxed) + 1;
-  ctl.start_ns = now_ns();
   ctl.deadline_ms =
       opts.deadline_ms != 0 ? opts.deadline_ms : conf().pass_deadline_ms;
   ctl.deadline_ns =
-      ctl.deadline_ms != 0 ? ctl.start_ns + ctl.deadline_ms * 1000000ull : 0;
+      ctl.deadline_ms != 0 ? now_ns() + ctl.deadline_ms * 1000000ull : 0;
   ctl.stall_ms = conf().watchdog_stall_ms;
   ctl.mode = conf().mode;
 
-  // Listed from here until the call ends, normally or by exception; the
-  // end publishes the call's stats (partial ones too: a cancelled pass's
-  // counters still mean something to callers) under the same lock.
+  // The call's end, normally or by exception, publishes its stats (partial
+  // ones too: a cancelled pass's counters still mean something to callers).
   struct publisher {
     const pass_ctl& ctl;
-    explicit publisher(const pass_ctl& c) : ctl(c) {
-      mutex_lock lock(g_stats_mutex);
-      g_active.push_back(&ctl);
-    }
     ~publisher() {
       mutex_lock lock(g_stats_mutex);
       g_last_stats = ctl.stats;
-      std::erase(g_active, &ctl);
     }
-    publisher(const publisher&) = delete;
-    publisher& operator=(const publisher&) = delete;
   } publish{ctl};
 
   switch (ctl.mode) {

@@ -85,10 +85,10 @@ struct pass_stats {
 
 /// X-macro over every numeric pass_stats field, in declaration order.
 /// to_json(), the per-field metrics probes (exec.cpp) and the struct/JSON
-/// parity test (tests/test_incident.cpp) all expand this list; the
-/// static_assert below pins the struct layout so adding a field without
-/// extending the list fails to compile instead of silently missing from
-/// /passes and incident bundles.
+/// parity test (tests/test_obs.cpp) all expand this list; the static_assert
+/// below pins the struct layout so adding a field without extending the
+/// list fails to compile instead of silently missing from the JSON and the
+/// metrics.
 #define FLASHR_PASS_STATS_FIELDS(X) \
   X(passes)                         \
   X(sequential_passes)              \
@@ -116,14 +116,6 @@ static_assert(sizeof(pass_stats) ==
 /// snapshot is taken under a lock, so it is always one call's whole record,
 /// never a mix.
 pass_stats last_pass_stats();
-
-/// Materializations currently in flight — the running one and any queued
-/// behind it — for incident bundles and the /debug/stacks route: a JSON
-/// array of
-/// {"pass_id","start_ns","elapsed_ns","deadline_ms","mode","degrade",
-///  "admission_waits"} — degrade is the ladder path taken SO FAR, so a
-/// bundle cut mid-pass shows how far the pass had already fallen back.
-std::string active_passes_json();
 
 /// Rows per Pcache chunk for a DAG whose widest matrix has `max_ncol`
 /// columns of `elem_bytes`-byte elements (exposed for tests).

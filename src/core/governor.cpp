@@ -5,14 +5,11 @@
 #include <chrono>
 #include <thread>
 
-#include <cstdio>
-
 #include "common/config.h"
 #include "common/error.h"
 #include "common/timer.h"
 #include "core/plan.h"
 #include "matrix/em_store.h"
-#include "obs/incident.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
@@ -122,14 +119,6 @@ resource_governor::reservation resource_governor::admit(
     const std::size_t mem_budget = conf().mem_budget_bytes;
     const std::size_t io_budget = conf().max_inflight_io;
     const bool mem = mem_budget != 0 && fp.bytes > mem_budget;
-    char detail[160];
-    std::snprintf(detail, sizeof(detail),
-                  "pass %llu footprint exceeds the budget (requested=%zu "
-                  "budget=%zu)",
-                  static_cast<unsigned long long>(pass_id),
-                  mem ? fp.bytes : fp.inflight_io,
-                  mem ? mem_budget : io_budget);
-    obs::incident_request(obs::incident_kind::governor_overload, detail);
     throw overload_error("pass footprint exceeds the resource budget",
                          pass_id, mem ? fp.bytes : fp.inflight_io,
                          mem ? mem_budget : io_budget);
@@ -150,15 +139,6 @@ resource_governor::reservation resource_governor::admit(
       const std::uint64_t now = now_ns();
       if (now >= deadline_ns) {
         --queued_;
-        // Lock-free by design: gov_mtx_ is held right here.
-        char detail[160];
-        std::snprintf(detail, sizeof(detail),
-                      "pass %llu deadline expired queued for admission "
-                      "(waited_ms=%llu limit_ms=%llu)",
-                      static_cast<unsigned long long>(pass_id),
-                      static_cast<unsigned long long>((now - t0) / 1000000),
-                      static_cast<unsigned long long>(deadline_ms));
-        obs::incident_request(obs::incident_kind::governor_timeout, detail);
         throw timeout_error(
             "pass deadline expired while queued for admission",
             pass_id, now - t0, deadline_ms);
@@ -172,17 +152,9 @@ resource_governor::reservation resource_governor::admit(
 
 resource_governor::health_snapshot resource_governor::health() const {
   health_snapshot h;
-  // Guarded conf() access: this runs on the stats server's serve thread,
-  // which must never trigger lazy engine init (init() restarts the stats
-  // server — a self-join). Before init() the budgets read as unlimited.
-  if (initialized()) {
-    h.mem_budget_bytes = conf().mem_budget_bytes;
-    h.max_inflight_io = conf().max_inflight_io;
-  }
   {
     mutex_lock lock(gov_mtx_);
     h.reserved_bytes = reserved_bytes_;
-    h.reserved_io = reserved_io_;
     h.active_passes = active_;
     h.queued_passes = queued_;
   }
@@ -196,22 +168,6 @@ resource_governor::health_snapshot resource_governor::health() const {
     h.reason = "passes running degraded";
   h.ok = h.reason.empty();
   return h;
-}
-
-std::string resource_governor::health_snapshot::to_json() const {
-  std::string s = "{\"ok\": ";
-  s += ok ? "true" : "false";
-  s += ", \"reason\": \"" + reason + "\"";
-  s += ", \"reserved_bytes\": " + std::to_string(reserved_bytes);
-  s += ", \"mem_budget_bytes\": " + std::to_string(mem_budget_bytes);
-  s += ", \"reserved_io\": " + std::to_string(reserved_io);
-  s += ", \"max_inflight_io\": " + std::to_string(max_inflight_io);
-  s += ", \"active_passes\": " + std::to_string(active_passes);
-  s += ", \"queued_passes\": " + std::to_string(queued_passes);
-  s += ", \"degraded_passes\": " + std::to_string(degraded_passes);
-  s += ", \"tripped_passes\": " + std::to_string(tripped_passes);
-  s += "}";
-  return s;
 }
 
 void resource_governor::count_degrade_step() { degrade_counter().add(1); }
@@ -366,35 +322,17 @@ void pass_watchdog::loop() {
       for (auto& [tok, e] : entries_) {
         const trip_decision d = check_entry(e, now);
         if (d.k == trip_decision::kind::none) continue;
-        // File the incident while wd_mtx_ is held — incident_request is
-        // lock-free precisely for trigger sites like this one.
-        char detail[160];
         if (d.k == trip_decision::kind::deadline) {
           err = std::make_exception_ptr(timeout_error(
               "pass deadline exceeded", e.pass_id, d.elapsed_ns,
               e.deadline_ms));
           deadline_trip_counter().add(1);
-          std::snprintf(detail, sizeof(detail),
-                        "watchdog: pass %llu deadline exceeded "
-                        "(elapsed_ms=%llu limit_ms=%llu)",
-                        static_cast<unsigned long long>(e.pass_id),
-                        static_cast<unsigned long long>(d.elapsed_ns /
-                                                        1000000),
-                        static_cast<unsigned long long>(e.deadline_ms));
         } else {
           err = std::make_exception_ptr(timeout_error(
               "hung I/O: reads in flight with no completion", e.pass_id,
               d.elapsed_ns, e.stall_ms));
           stall_trip_counter().add(1);
-          std::snprintf(detail, sizeof(detail),
-                        "watchdog: pass %llu hung I/O (stalled_ms=%llu "
-                        "bound_ms=%llu)",
-                        static_cast<unsigned long long>(e.pass_id),
-                        static_cast<unsigned long long>(d.elapsed_ns /
-                                                        1000000),
-                        static_cast<unsigned long long>(e.stall_ms));
         }
-        obs::incident_request(obs::incident_kind::watchdog_trip, detail);
         e.tripped = true;
         fire_tok = tok;
         cancel = e.cancel;
@@ -465,6 +403,13 @@ resource_governor::footprint estimate_footprint(const dag_info& dag,
   return fp;
 }
 
+void pass_ctl::degrade(const std::string& step) {
+  if (!stats.degrade_path.empty()) stats.degrade_path += ',';
+  stats.degrade_path += step;
+  ++stats.degrade_steps;
+  resource_governor::global().count_degrade_step();
+}
+
 resource_governor::reservation admit_with_degradation(const dag_info& dag,
                                                       pass_config& cfg,
                                                       pass_ctl& ctl) {
@@ -482,16 +427,12 @@ resource_governor::reservation admit_with_degradation(const dag_info& dag,
     if (v == resource_governor::verdict::busy) {
       if (conf().governor_fail_fast) {
         gov.count_reject();
-        obs::incident_request(obs::incident_kind::governor_overload,
-                              "another pass is running (fail-fast)");
         throw overload_error(
             "another pass is running (fail-fast)", ctl.pass_id, fp.bytes,
             conf().mem_budget_bytes);
       }
       const std::uint64_t t0 = now_ns();
-      // Count the wait BEFORE blocking: an incident bundle cut while this
-      // pass queues should say so.
-      ctl.note_admission_wait();
+      ++ctl.stats.admission_waits;
       res = gov.admit(ctl.pass_id, fp, ctl.deadline_ns, ctl.deadline_ms);
       ctl.stats.admission_wait_ns += now_ns() - t0;
       cfg.prefetch_depth = depth;
@@ -514,9 +455,6 @@ resource_governor::reservation admit_with_degradation(const dag_info& dag,
         c = std::max<std::size_t>(16, std::bit_floor(dag.space.part_rows) / 2);
       if (c >= dag.space.part_rows) {
         gov.count_reject();
-        obs::incident_request(
-            obs::incident_kind::governor_overload,
-            "footprint exceeds the memory budget even fully degraded");
         throw exhausted_error(
             "pass footprint exceeds the memory budget even fully degraded",
             ctl.pass_id, fp.bytes, conf().mem_budget_bytes);
@@ -531,9 +469,6 @@ resource_governor::reservation admit_with_degradation(const dag_info& dag,
       gov.count_reject();
       const bool mem_exceeded = conf().mem_budget_bytes != 0 &&
                                 fp.bytes > conf().mem_budget_bytes;
-      obs::incident_request(
-          obs::incident_kind::governor_overload,
-          "footprint exceeds the resource budget even fully degraded");
       throw exhausted_error(
           "pass footprint exceeds the resource budget even fully degraded",
           ctl.pass_id, mem_exceeded ? fp.bytes : fp.inflight_io,

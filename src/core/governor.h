@@ -102,25 +102,20 @@ class resource_governor {
   reservation admit(std::uint64_t pass_id, const footprint& fp,
                     std::uint64_t deadline_ns, std::uint64_t deadline_ms);
 
-  /// Point-in-time health for /healthz: not ok while passes are queued
-  /// behind a running pass, running degraded, or tripped by the watchdog.
+  /// Point-in-time health: not ok while passes are queued behind a running
+  /// pass, running degraded, or tripped by the watchdog.
   struct health_snapshot {
     bool ok = true;
     std::size_t reserved_bytes = 0;
-    std::size_t mem_budget_bytes = 0;
-    std::size_t reserved_io = 0;
-    std::size_t max_inflight_io = 0;
     std::size_t active_passes = 0;
     std::size_t queued_passes = 0;
     std::size_t degraded_passes = 0;
     std::size_t tripped_passes = 0;
     std::string reason;  ///< empty when ok
-
-    std::string to_json() const;
   };
   health_snapshot health() const;
 
-  /// Degraded/tripped pass accounting (drives /healthz). Begin/end pairs
+  /// Degraded/tripped pass accounting (drives health()). Begin/end pairs
   /// are called by exec around a degraded pass and by the watchdog around a
   /// tripped watch's remaining lifetime.
   void note_degraded_begin() {
@@ -145,7 +140,8 @@ class resource_governor {
   friend class reservation;
   mutable mutex gov_mtx_ LOCK_RANK(governor);
   cond_var cv_;
-  /// The running pass's footprint (0 when idle), for /healthz.
+  /// The running pass's footprint (0 when idle), for health() and the
+  /// governor probes.
   std::size_t reserved_bytes_ GUARDED_BY(gov_mtx_) = 0;
   std::size_t reserved_io_ GUARDED_BY(gov_mtx_) = 0;
   std::size_t active_ GUARDED_BY(gov_mtx_) = 0;  ///< 0 or 1
@@ -235,12 +231,9 @@ struct pass_config {
 
 /// One materialize() call, threaded through every pass it runs: its limits
 /// and the one pass_stats record each pass adds into, on the calling
-/// thread. Listed by active_passes_json() while it runs; the two fields
-/// that listing reads mid-call change only through degrade() and
-/// note_admission_wait(), under its lock (exec.cpp).
+/// thread.
 struct pass_ctl {
   std::uint64_t pass_id = 0;     ///< global materialize() sequence number
-  std::uint64_t start_ns = 0;
   std::uint64_t deadline_ms = 0; ///< effective (opts override or conf)
   std::uint64_t deadline_ns = 0; ///< absolute now_ns() instant; 0 = none
   std::uint64_t stall_ms = 0;    ///< conf().watchdog_stall_ms
@@ -253,8 +246,6 @@ struct pass_ctl {
 
   /// Record one degradation-ladder step.
   void degrade(const std::string& step);
-  /// Count a pass queueing for admission, before it blocks.
-  void note_admission_wait();
 };
 
 /// The conf()-derived prefetch depth (the formula of build_pipelines,
@@ -292,7 +283,7 @@ resource_governor::reservation admit_with_degradation(const dag_info& dag,
                                                       pass_config& cfg,
                                                       pass_ctl& ctl);
 
-/// RAII /healthz accounting for a pass running in a degraded configuration.
+/// RAII health() accounting for a pass running in a degraded configuration.
 class degraded_scope {
  public:
   explicit degraded_scope(bool on) : on_(on) {

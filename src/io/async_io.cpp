@@ -177,48 +177,12 @@ io_backend::write_throttle_stats io_backend::throttle_stats() const {
   s.stalls = throttle_stalls_;
   s.stall_ns = throttle_stall_ns_;
   s.hwm_bytes = write_hwm_bytes_;
-  s.inflight_bytes = inflight_write_bytes_;
   return s;
 }
 
 void io_backend::reset_throttle_hwm() {
   mutex_lock lock(budget_mtx_);
   write_hwm_bytes_ = inflight_write_bytes_;
-}
-
-std::string io_backend::write_budget_json() const {
-  mutex_lock lock(budget_mtx_);
-  std::string s = "{\"pending_writes\": " + std::to_string(pending_writes_);
-  s += ", \"inflight_write_bytes\": " + std::to_string(inflight_write_bytes_);
-  s += ", \"write_hwm_bytes\": " + std::to_string(write_hwm_bytes_);
-  s += ", \"throttle_stalls\": " + std::to_string(throttle_stalls_);
-  s += ", \"throttle_stall_ns\": " + std::to_string(throttle_stall_ns_);
-  s += ", \"write_error\": ";
-  s += write_error_ ? "true" : "false";
-  s += "}";
-  return s;
-}
-
-std::string io_backend::debug_snapshot() const {
-  // Sequential lock acquisition: read the queue under io_mtx_, release, then
-  // read the budget under its own mutex — never nested, so the snapshot
-  // cannot invert async_queue (600) against io_write_budget (580).
-  std::size_t depth = 0;
-  bool stopping = false;
-  {
-    mutex_lock lock(io_mtx_);
-    depth = queue_.size();
-    stopping = stop_;
-  }
-  std::string s = "{\"name\": \"threads\"";
-  s += ", \"io_threads\": " + std::to_string(threads_.size());
-  s += ", \"queue_depth\": " + std::to_string(depth);
-  s += ", \"stopping\": ";
-  s += stopping ? "true" : "false";
-  s += ", \"last_completion_ns\": " + std::to_string(last_completion_ns());
-  s += ", \"write_budget\": " + write_budget_json();
-  s += "}";
-  return s;
 }
 
 void io_backend::io_loop() {

@@ -93,17 +93,11 @@ class io_backend {
     std::size_t stalls = 0;          ///< submit_write calls that blocked
     std::uint64_t stall_ns = 0;      ///< total time spent blocked
     std::size_t hwm_bytes = 0;       ///< in-flight write bytes high-water mark
-    std::size_t inflight_bytes = 0;  ///< current in-flight write bytes
   };
   write_throttle_stats throttle_stats() const;
   /// Reset the high-water mark to the current in-flight volume (start of a
   /// pass); stall counters are cumulative and diffed by the caller.
   void reset_throttle_hwm();
-
-  /// One JSON object describing the service for incident bundles and the
-  /// /debug routes: name, thread and queue state, the completion clock and
-  /// the write-budget accounting.
-  std::string debug_snapshot() const;
 
   /// Timestamp (flashr::now_ns) of the most recent completed I/O request,
   /// read or write; 0 until the first completion. The hung-I/O watchdog
@@ -145,9 +139,6 @@ class io_backend {
 
   /// Stamp the watchdog's completion clock (any finished read or write).
   void stamp_completion() FLASHR_NONBLOCKING;
-
-  /// The write-budget section of debug_snapshot(), as one JSON object.
-  std::string write_budget_json() const;
 
   std::vector<std::thread> threads_;
   mutable mutex io_mtx_ LOCK_RANK(async_queue);

@@ -5,7 +5,6 @@
 
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <thread>
 
 #include "common/align.h"
@@ -15,7 +14,6 @@
 #include "common/rng.h"
 #include "common/timer.h"
 #include "io/fault.h"
-#include "obs/incident.h"
 #include "obs/metrics.h"
 
 namespace flashr {
@@ -97,14 +95,6 @@ ssize_t retry_io(Io&& io, const char* what, const std::string& path,
                                  (static_cast<std::uint64_t>(len) << 32));
       continue;
     }
-    // Retry budget exhausted: capture a black-box bundle before the typed
-    // error unwinds (lock-free request; no-op unless incidents are armed).
-    char detail[160];
-    std::snprintf(detail, sizeof(detail),
-                  "%s failed beyond retry budget "
-                  "(errno=%d attempts=%d offset=%zu len=%zu)",
-                  what, e, attempt, offset, len);
-    obs::incident_request(obs::incident_kind::io_exhausted, detail);
     throw io_error(std::string(what) + " failed beyond retry budget", path,
                    offset, len, e);
   }

@@ -3,7 +3,6 @@
 #include <unistd.h>
 
 #include <atomic>
-#include <cstdio>
 #include <cstring>
 
 #include "common/config.h"
@@ -11,7 +10,6 @@
 #include "common/error.h"
 #include "common/thread_safety.h"
 #include "io/async_io.h"
-#include "obs/incident.h"
 
 namespace flashr {
 
@@ -70,13 +68,6 @@ void em_store::verify_part(std::size_t pidx, char* buf) const {
     }
   }
   stats.checksum_failures.fetch_add(1, std::memory_order_relaxed);
-  // Data corruption is the canonical black-box moment: file the incident
-  // before the typed error unwinds (no-op unless incidents are armed).
-  char detail[160];
-  std::snprintf(detail, sizeof(detail),
-                "partition checksum mismatch (part=%zu len=%zu policy=%s)",
-                pidx, len, checksum_policy_name(policy));
-  obs::incident_request(obs::incident_kind::checksum, detail);
   throw io_error("partition checksum mismatch", file_->name(),
                  part_offset(pidx), len, 0);
 }

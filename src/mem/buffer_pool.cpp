@@ -71,7 +71,7 @@ int buffer_pool::class_of(std::size_t bytes) {
 }
 
 pool_buffer buffer_pool::get(std::size_t bytes) {
-  OBS_INSTANT_HOT("pool.get", bytes);
+  OBS_INSTANT("pool.get", bytes);
   const int cls = class_of(bytes);
   const std::size_t class_bytes = std::size_t{1} << (cls + kMinClassLog2);
   const bool track = invariants_enabled();
@@ -143,7 +143,7 @@ void buffer_pool::track_return_locked(char* data, std::size_t size, int cls,
 
 void buffer_pool::put(char* data, std::size_t size, int cls,
                       bool tracked) noexcept {
-  OBS_INSTANT_HOT("pool.put", size);
+  OBS_INSTANT("pool.put", size);
   {
     mutex_lock lock(pool_mtx_);
     if (invariants_enabled())

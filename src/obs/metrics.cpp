@@ -5,8 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/config.h"
-
 namespace flashr::obs {
 
 namespace detail {
@@ -187,114 +185,6 @@ std::string metrics_registry::to_json() const {
     out += "\": " + u64_str(fn());
   }
   out += "}\n}";
-  return out;
-}
-
-namespace {
-
-/// Prometheus metric names allow [a-zA-Z0-9_:]; everything else becomes '_'.
-std::string prom_name(const std::string& name) {
-  std::string out = "flashr_";
-  for (char c : name) {
-    const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                    (c >= '0' && c <= '9') || c == '_' || c == ':';
-    out += ok ? c : '_';
-  }
-  return out;
-}
-
-/// HELP text escaping: backslash and newline must be escaped (0.0.4 rules).
-void append_help_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-}
-
-void append_prom_scalar(std::string& out, const std::string& raw_name,
-                        const char* type, std::uint64_t v) {
-  const std::string name = prom_name(raw_name);
-  out += "# HELP " + name + " flashr instrument ";
-  append_help_escaped(out, raw_name);
-  out += "\n# TYPE " + name + " ";
-  out += type;
-  out += "\n" + name + " " + u64_str(v) + "\n";
-}
-
-}  // namespace
-
-std::string metrics_registry::to_prometheus() const {
-  // Never trigger lazy config init from a scrape: the stats server calls
-  // this from its own serving thread, and init() restarts that server —
-  // a self-join. An uninitialized config means the default (summary)
-  // exposition anyway.
-  const bool native_buckets = initialized() && conf().obs_prom_buckets;
-  std::string out;
-  std::vector<std::pair<std::string, std::function<std::uint64_t()>>> probes;
-  {
-    mutex_lock lock(reg_mtx_);
-    for (const auto& [name, c] : counters_)
-      append_prom_scalar(out, name, "counter", c->value());
-    for (const auto& [name, g] : gauges_)
-      append_prom_scalar(out, name, "gauge", g->value());
-    for (const auto& [name, h] : hists_) {
-      const std::string pname = prom_name(name);
-      out += "# HELP " + pname + " flashr histogram ";
-      append_help_escaped(out, name);
-      if (native_buckets) {
-        // Native histogram exposition: cumulative power-of-two buckets.
-        // Internal bucket i holds values with bit_width i, so its inclusive
-        // upper bound is 2^i - 1 — that becomes the `le` label. Only
-        // buckets up to the highest non-empty one are emitted; +Inf closes
-        // the series and must equal _count.
-        out += "\n# TYPE " + pname + " histogram\n";
-        std::uint64_t counts[histogram::kBuckets];
-        int hi = -1;
-        for (int i = 0; i < histogram::kBuckets; ++i) {
-          counts[i] = h->bucket_count(i);
-          if (counts[i] != 0) hi = i;
-        }
-        std::uint64_t cum = 0;
-        for (int i = 0; i <= hi; ++i) {
-          cum += counts[i];
-          const std::uint64_t le =
-              i >= 64 ? ~0ULL : (std::uint64_t{1} << i) - 1;
-          out += pname + "_bucket{le=\"" + u64_str(le) + "\"} " +
-                 u64_str(cum) + "\n";
-        }
-        // record() bumps the bucket and count_ with separate relaxed ops,
-        // so under concurrent recording the two can be momentarily skewed;
-        // clamp so +Inf (== _count) never drops below the last bucket.
-        std::uint64_t total = h->count();
-        if (total < cum) total = cum;
-        out += pname + "_bucket{le=\"+Inf\"} " + u64_str(total) + "\n";
-        out += pname + "_sum " + u64_str(h->sum()) + "\n";
-        out += pname + "_count " + u64_str(total) + "\n";
-        continue;
-      }
-      out += "\n# TYPE " + pname + " summary\n";
-      char buf[64];
-      const double qs[] = {0.5, 0.95, 0.99};
-      const double ps[] = {50.0, 95.0, 99.0};
-      for (int i = 0; i < 3; ++i) {
-        std::snprintf(buf, sizeof(buf), "{quantile=\"%g\"} %.1f\n", qs[i],
-                      h->percentile(ps[i]));
-        out += pname + buf;
-      }
-      out += pname + "_sum " + u64_str(h->sum()) + "\n";
-      out += pname + "_count " + u64_str(h->count()) + "\n";
-    }
-    probes.reserve(probes_.size());
-    for (const auto& [name, fn] : probes_) probes.emplace_back(name, fn);
-  }
-  // Probe callbacks run outside the registry lock (see value()).
-  for (const auto& [name, fn] : probes)
-    append_prom_scalar(out, name, "gauge", fn());
   return out;
 }
 

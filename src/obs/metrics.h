@@ -88,13 +88,6 @@ class histogram {
   /// containing power-of-two bucket. 0 when empty.
   double percentile(double p) const;
 
-  /// Raw count of internal bucket `i` (values with bit_width i, i.e. the
-  /// inclusive range [2^(i-1), 2^i - 1]); the native Prometheus histogram
-  /// export (obs_prom_buckets) reads these.
-  std::uint64_t bucket_count(int i) const {
-    return buckets_[i].load(std::memory_order_relaxed);
-  }
-
   void reset();
 
  private:
@@ -126,14 +119,6 @@ class metrics_registry {
   /// registry mutex, so the set of instruments is coherent (individual
   /// atomics are read relaxed).
   std::string to_json() const;
-
-  /// Prometheus text exposition format 0.0.4 (the stats server's /metrics
-  /// body). Instrument names are sanitized ([a-zA-Z0-9_:], "flashr_"
-  /// prefix); counters map to `counter`, gauges and probes to `gauge`
-  /// (probes mirror externally-reset state, so they must not promise
-  /// monotonicity), histograms to `summary` with p50/p95/p99 quantiles
-  /// plus _sum/_count.
-  std::string to_prometheus() const;
 
   /// Zero every owned counter/gauge/histogram. Probes are views of external
   /// state and are left alone.

@@ -27,13 +27,11 @@ struct profile_state {
   mutex prof_mtx LOCK_RANK(profile);
   std::uint64_t pass_seq GUARDED_BY(prof_mtx) = 0;
   std::deque<pass_profile> history GUARDED_BY(prof_mtx);
-  std::string last_json GUARDED_BY(prof_mtx);
-  std::string last_dot GUARDED_BY(prof_mtx);
 };
 
 profile_state& state() {
-  static profile_state* s = new profile_state();  // leaked: the stats-server
-  return *s;                                      // thread may outlive exit
+  static profile_state* s = new profile_state();  // leaked: outlives static
+  return *s;                                      // destructors
 }
 
 void append(std::string& out, const char* fmt, ...)
@@ -96,8 +94,7 @@ std::string pass_profile::to_json() const {
 
 std::uint64_t profile_record(pass_profile&& p) {
   // Read config before locking: a first-ever conf() call runs lazy init,
-  // which may arm the incident monitor — including a thread join on
-  // re-arm, which must never run while holding prof_mtx.
+  // which starts and stops engine threads and must not run under prof_mtx.
   std::size_t cap = conf().obs_profile_history;
   if (cap < 1) cap = 1;
   profile_state& s = state();
@@ -121,24 +118,11 @@ std::vector<pass_profile> profile_history() {
   return {s.history.begin(), s.history.end()};
 }
 
-std::string profile_history_json() {
-  std::vector<pass_profile> h = profile_history();
-  std::string out = "[";
-  for (std::size_t i = 0; i < h.size(); ++i) {
-    if (i > 0) out += ",\n ";
-    out += h[i].to_json();
-  }
-  out += "]";
-  return out;
-}
-
 void profile_clear() {
   profile_state& s = state();
   mutex_lock lock(s.prof_mtx);
   s.history.clear();
   s.pass_seq = 0;
-  s.last_json.clear();
-  s.last_dot.clear();
 }
 
 namespace {
@@ -223,11 +207,6 @@ void run_analysis(const std::vector<matrix_store::ptr>& targets, storage st,
     for (int c : n.children) append(dot_out, "  n%d -> n%d;\n", c, n.id);
   }
   dot_out += "}\n";
-
-  profile_state& s = state();
-  mutex_lock lock(s.prof_mtx);
-  s.last_json = json_out;
-  s.last_dot = dot_out;
 }
 
 }  // namespace
@@ -246,18 +225,6 @@ std::string explain_analyze_dot(const std::vector<matrix_store::ptr>& targets,
   std::string dot;
   run_analysis(targets, st, json, dot);
   return dot;
-}
-
-std::string last_explain_analyze_json() {
-  profile_state& s = state();
-  mutex_lock lock(s.prof_mtx);
-  return s.last_json;
-}
-
-std::string last_explain_analyze_dot() {
-  profile_state& s = state();
-  mutex_lock lock(s.prof_mtx);
-  return s.last_dot;
 }
 
 }  // namespace flashr::obs

@@ -12,8 +12,7 @@
 //
 // explain_analyze_json() ties the two halves together: collect the plan once
 // and render it, materialize with profiling on, then emit plan + per-pass
-// actuals + per-node totals. The result of the last analysis is kept for
-// last_explain_analyze_*() and the stats server's /explain/last.
+// actuals + per-node totals.
 //
 // Disabled (the default), the whole layer costs one relaxed load per
 // materialization plus one per instrumented site that is not already gated
@@ -100,10 +99,7 @@ std::uint64_t profile_pass_seq();
 /// Snapshot of the history ring, oldest first.
 std::vector<pass_profile> profile_history();
 
-/// The history ring as a JSON array (the stats server's /passes).
-std::string profile_history_json();
-
-/// Drop the history ring and the last analysis (tests).
+/// Drop the history ring (tests).
 void profile_clear();
 
 // --- EXPLAIN ANALYZE ---------------------------------------------------------
@@ -111,8 +107,7 @@ void profile_clear();
 /// Materialize `targets` with profiling enabled and return
 /// {"plan": ..., "wall_ns": ..., "passes": [...], "totals": [...]}: the
 /// estimated plan next to measured per-node actuals, keyed by the same DFS
-/// node ids. Also stored as the "last" analysis. Profiling is restored to
-/// its previous setting afterwards.
+/// node ids. Profiling is restored to its previous setting afterwards.
 std::string explain_analyze_json(const std::vector<matrix_store::ptr>& targets,
                                  storage st = storage::in_mem);
 
@@ -120,9 +115,5 @@ std::string explain_analyze_json(const std::vector<matrix_store::ptr>& targets,
 /// measured totals in the labels).
 std::string explain_analyze_dot(const std::vector<matrix_store::ptr>& targets,
                                 storage st = storage::in_mem);
-
-/// Results of the most recent explain_analyze (empty when none ran).
-std::string last_explain_analyze_json();
-std::string last_explain_analyze_dot();
 
 }  // namespace flashr::obs

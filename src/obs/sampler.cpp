@@ -14,8 +14,7 @@
 //     rebuilds across a long test run cannot exhaust the registry.
 //   * collector thread: drains every ring ~20x/s under the sampler mutex
 //     (rank 770) and folds records into (stack, state)- and
-//     (pass, node, state)-keyed aggregates plus a bounded trailing window
-//     for incident bundles.
+//     (pass, node, state)-keyed aggregates.
 //   * export (normal context): symbolization (dladdr + __cxa_demangle,
 //     cached per pc) happens only here, far from any signal.
 #include "obs/sampler.h"
@@ -36,7 +35,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <cxxabi.h>
-#include <deque>
 #include <map>
 #include <string_view>
 #include <thread>
@@ -70,14 +68,9 @@ constexpr int kMaxFrames = 28;     ///< deep enough for exec -> kernel chains
 constexpr int kMaxThreads = 256;   ///< attached-thread registry slots
 constexpr std::uint64_t kRingCap = 256;  ///< per-thread pending samples
 static_assert((kRingCap & (kRingCap - 1)) == 0, "ring capacity: power of 2");
-/// Trailing-window retention for folded_recent() (incident bundles ask for
-/// ~5s; keep a little slack).
-constexpr std::uint64_t kRecentRetainNs = 8'000'000'000ULL;
-constexpr std::size_t kRecentMaxEntries = 1 << 16;
 
 /// One sample as written by the signal handler.
 struct samp_rec {
-  std::uint64_t ts = 0;       ///< CLOCK_MONOTONIC ns
   std::uint32_t pass = 0;     ///< sampler_new_pass() token; 0 = none
   std::int32_t node = -1;     ///< executor plan-node id; -1 = none
   std::uint16_t state = 0;    ///< sample_state
@@ -111,18 +104,12 @@ struct samp_thread {
   std::uint64_t drained_dropped = 0;   ///< drop count already accounted
 };
 
-/// One folded stack's aggregate (value-stable in the unordered_map, so the
-/// recent window can hold pointers).
+/// One folded stack's aggregate.
 struct stack_agg {
   std::string track;
   std::uint8_t state = 0;
   std::vector<std::uintptr_t> pcs;  ///< leaf first
   std::uint64_t count = 0;
-};
-
-struct recent_ent {
-  std::uint64_t ts;
-  const stack_agg* agg;
 };
 
 struct sampler_state {
@@ -134,7 +121,6 @@ struct sampler_state {
   /// (pass, node) -> [cpu, io_wait, lock_wait] sample counts.
   std::map<std::pair<std::uint32_t, std::int32_t>,
            std::array<std::uint64_t, 3>> nodes GUARDED_BY(samp_mtx);
-  std::deque<recent_ent> recent GUARDED_BY(samp_mtx);
   std::unordered_map<std::uintptr_t, std::string> symcache GUARDED_BY(samp_mtx);
   std::thread collector;
   bool collector_running GUARDED_BY(samp_mtx) = false;
@@ -227,10 +213,6 @@ void samp_on_signal(int, siginfo_t*, void* ucv) noexcept {
         ring->dropped.fetch_add(1, std::memory_order_relaxed);
       } else {
         samp_rec& r = ring->slots[h & (kRingCap - 1)];
-        struct timespec ts;
-        ::clock_gettime(CLOCK_MONOTONIC, &ts);
-        r.ts = static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
-               static_cast<std::uint64_t>(ts.tv_nsec);
         r.pass = detail::t_sample_ctx.pass.load(std::memory_order_relaxed);
         r.node = detail::t_sample_ctx.node.load(std::memory_order_relaxed);
         r.state = detail::t_sample_ctx.state.load(std::memory_order_relaxed);
@@ -254,13 +236,6 @@ void install_handler_once() {
     return true;
   }();
   (void)installed;
-}
-
-std::uint64_t monotonic_now_ns() {
-  struct timespec ts;
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ULL +
-         static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
 void copy_track(char (&dst)[32], const char* src) {
@@ -310,11 +285,6 @@ void fold_locked(sampler_state& s, const char* track, const samp_rec& r) {
     a.pcs.assign(r.pcs, r.pcs + r.nframes);
   }
   a.count += 1;
-  s.recent.push_back({r.ts, &a});
-  while (!s.recent.empty() &&
-         (s.recent.size() > kRecentMaxEntries ||
-          s.recent.front().ts + kRecentRetainNs < r.ts))
-    s.recent.pop_front();
   auto& n = s.nodes[{r.pass, r.node}];
   n[r.state < 3 ? r.state : 0] += 1;
   s.samples_total.fetch_add(1, std::memory_order_relaxed);
@@ -538,7 +508,6 @@ void sampler_clear() {
   }
   s.stacks.clear();
   s.nodes.clear();
-  s.recent.clear();  // holds pointers into stacks — cleared together
   s.samples_total.store(0, std::memory_order_relaxed);
   s.dropped_total.store(0, std::memory_order_relaxed);
 }
@@ -580,11 +549,19 @@ std::vector<node_samples> sampler_pass_samples(std::uint32_t pass,
   return out;
 }
 
-/// Render folded aggregates. Distinct pc sets can symbolize to the same
-/// frame chain (pcs land at different offsets within one function), so
-/// counts are merged by rendered line — a folded file must not repeat a
-/// stack. std::map keeps the output sorted.
-std::string render_folded(const std::map<std::string, std::uint64_t>& merged) {
+std::string folded_stacks() {
+  auto& s = S();
+  mutex_lock lock(s.samp_mtx);
+  drain_all_locked(s);
+  // Distinct pc sets can symbolize to the same frame chain (pcs land at
+  // different offsets within one function), so counts are merged by
+  // rendered line — a folded file must not repeat a stack. std::map keeps
+  // the output sorted.
+  std::map<std::string, std::uint64_t> merged;
+  for (const auto& [key, agg] : s.stacks) {
+    if (agg.count == 0) continue;
+    merged[folded_frames_locked(s, agg)] += agg.count;
+  }
   std::string out;
   for (const auto& [line, count] : merged) {
     out += line;
@@ -593,64 +570,6 @@ std::string render_folded(const std::map<std::string, std::uint64_t>& merged) {
     out += '\n';
   }
   return out;
-}
-
-std::string folded_stacks() {
-  auto& s = S();
-  mutex_lock lock(s.samp_mtx);
-  drain_all_locked(s);
-  std::map<std::string, std::uint64_t> merged;
-  for (const auto& [key, agg] : s.stacks) {
-    if (agg.count == 0) continue;
-    merged[folded_frames_locked(s, agg)] += agg.count;
-  }
-  return render_folded(merged);
-}
-
-std::string folded_recent(std::uint64_t window_ns) {
-  auto& s = S();
-  mutex_lock lock(s.samp_mtx);
-  drain_all_locked(s);
-  const std::uint64_t now = monotonic_now_ns();
-  const std::uint64_t cutoff = now > window_ns ? now - window_ns : 0;
-  std::map<const stack_agg*, std::uint64_t> counts;
-  for (const recent_ent& e : s.recent)
-    if (e.ts >= cutoff) counts[e.agg] += 1;
-  std::map<std::string, std::uint64_t> merged;
-  for (const auto& [agg, count] : counts)
-    merged[folded_frames_locked(s, *agg)] += count;
-  return render_folded(merged);
-}
-
-std::string folded_profile_window(int seconds) {
-  if (seconds <= 0) return folded_stacks();
-  // The stats server's accept loop is serial; keep a profile request from
-  // starving /metrics forever.
-  seconds = std::min(seconds, 30);
-  auto& s = S();
-  const bool temporary = !sampler_on();
-  if (temporary) sampler_start(97);
-  std::unordered_map<std::string, std::uint64_t> base;
-  {
-    mutex_lock lock(s.samp_mtx);
-    drain_all_locked(s);
-    base.reserve(s.stacks.size());
-    for (const auto& [key, agg] : s.stacks) base.emplace(key, agg.count);
-  }
-  std::this_thread::sleep_for(std::chrono::seconds(seconds));
-  std::map<std::string, std::uint64_t> merged;
-  {
-    mutex_lock lock(s.samp_mtx);
-    drain_all_locked(s);
-    for (const auto& [key, agg] : s.stacks) {
-      std::uint64_t prior = 0;
-      if (auto it = base.find(key); it != base.end()) prior = it->second;
-      if (agg.count <= prior) continue;
-      merged[folded_frames_locked(s, agg)] += agg.count - prior;
-    }
-  }
-  if (temporary) sampler_stop();
-  return render_folded(merged);
 }
 
 folded_summary write_folded(const std::string& path) {

@@ -22,16 +22,13 @@
 // Export paths (all symbolization — dladdr + demangle — happens here, far
 // from the signal handler):
 //   * folded stacks, flamegraph.pl collapsed format:
-//     "track;state;outer;...;inner count" via write_folded() and the stats
-//     server's /debug/pprof/profile?seconds=N endpoint;
+//     "track;state;outer;...;inner count" via folded_stacks() and
+//     write_folded();
 //   * per-(pass, node) sample counts, joined into explain_analyze() by the
-//     executor (node_profile.samples / sampled_ns);
-//   * flashr-prof-v1 history records via obs/prof_store.h, diffed by
-//     tools/bench_compare.py --attribute.
+//     executor (node_profile.samples / sampled_ns).
 //
 // Cost when off: obs_sample_hz=0 (the default) arms no timers and every
-// scope below is a single relaxed load — pinned by the microops overhead
-// test like the flight recorder's.
+// scope below is a single relaxed load.
 #pragma once
 
 #include <atomic>
@@ -157,9 +154,9 @@ class sample_wait_scope {
 /// record its stack bounds, and arm its per-thread timer if the sampler is
 /// running. Idempotent; re-attaching just updates the track name. Called
 /// from obs::set_thread_name() so every named engine thread (worker-N,
-/// io-N, watchdog, incident) is covered automatically; the main
-/// thread attaches in sampler_start(). `track` must have static storage
-/// duration or be copied by the caller — the sampler copies it.
+/// io-N, watchdog) is covered automatically; the main thread attaches in
+/// sampler_start(). `track` must have static storage duration or be copied
+/// by the caller — the sampler copies it.
 void sampler_thread_attach(const char* track);
 
 /// Start sampling at `hz` (arms timers on every attached thread and
@@ -205,16 +202,6 @@ std::vector<node_samples> sampler_pass_samples(std::uint32_t pass,
 /// one "track;state;outer;...;inner count" line each, symbolized here.
 std::string folded_stacks();
 
-/// Folded stacks observed within the trailing `window_ns` (incident
-/// bundles grab ~5s of this at trigger time).
-std::string folded_recent(std::uint64_t window_ns);
-
-/// Collect for ~`seconds` and return the delta as folded stacks (the
-/// /debug/pprof/profile endpoint). seconds <= 0: instant snapshot of all
-/// aggregates. If the sampler is off, it is started at 97 Hz for the
-/// window and stopped again.
-std::string folded_profile_window(int seconds);
-
 /// What write_folded() flushed.
 struct folded_summary {
   std::size_t lines = 0;      ///< distinct stacks written
@@ -226,8 +213,8 @@ struct folded_summary {
 /// be written (a warning is logged).
 folded_summary write_folded(const std::string& path);
 
-/// Register flashr_sampler_samples / flashr_sampler_drops gauge probes
-/// with the metrics registry (idempotent; they read 0 while off).
+/// Register the sampler.samples / sampler.drops probes with the metrics
+/// registry (idempotent; they read 0 while off).
 void sampler_register_metrics();
 
 }  // namespace flashr::obs

@@ -1,17 +1,12 @@
 #include "obs/trace.h"
 
-#include <sys/syscall.h>
-#include <unistd.h>
-
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <vector>
 
 #include "common/config.h"
 #include "common/log.h"
-#include "common/raw_sink.h"
 #include "common/thread_safety.h"
 #include "common/timer.h"
 #include "obs/sampler.h"
@@ -19,25 +14,12 @@
 namespace flashr::obs {
 
 namespace detail {
-// The flight recorder is the engine's black box: ON from the first
-// instruction (constant-initialized, before config init runs).
-std::atomic<std::uint32_t> g_record_mask{kFlightBit};
+std::atomic<bool> g_trace_on{false};
 }  // namespace detail
 
-namespace {
-
-void set_mask_bit(std::uint32_t bit, bool on) {
-  if (on)
-    detail::g_record_mask.fetch_or(bit, std::memory_order_relaxed);
-  else
-    detail::g_record_mask.fetch_and(~bit, std::memory_order_relaxed);
+void set_trace_enabled(bool on) {
+  detail::g_trace_on.store(on, std::memory_order_relaxed);
 }
-
-}  // namespace
-
-void set_trace_enabled(bool on) { set_mask_bit(detail::kTraceBit, on); }
-
-void set_flight_enabled(bool on) { set_mask_bit(detail::kFlightBit, on); }
 
 namespace {
 
@@ -107,68 +89,6 @@ std::uint64_t ring_dropped(const trace_ring& r, std::uint64_t head) {
   return head > cap ? head - cap : 0;
 }
 
-// ---- flight recorder rings ------------------------------------------------
-//
-// Same 32-byte record, but a fixed small capacity, a fixed global registry
-// (an atomic pointer array the crash handler can walk lock-free), and no
-// epoch/clear semantics: rings live for the whole process, including past
-// their owner thread's exit — the last seconds of a dead thread are exactly
-// what a post-mortem wants. ~64 KiB per recording thread.
-
-constexpr std::uint64_t kFlightCap = 2048;  // power of two
-constexpr int kMaxFlightRings = 256;
-
-struct flight_ring {
-  trace_slot slots[kFlightCap] = {};
-  std::atomic<std::uint64_t> head{0};
-  unsigned os_tid = 0;
-  /// Thread label. Written under the trace registry mutex (registration and
-  /// set_thread_name); live readers (flight_collect) take the same mutex.
-  /// The crash path reads it raw — a benign race, worst case a torn label.
-  char name[32] = {};
-};
-
-std::atomic<flight_ring*> g_flight[kMaxFlightRings] = {};
-std::atomic<int> g_flight_n{0};
-
-thread_local flight_ring* t_flight = nullptr;
-
-unsigned os_tid() noexcept {
-  return static_cast<unsigned>(::syscall(SYS_gettid));
-}
-
-void flight_set_name(flight_ring& r, const char* name) {
-  std::size_t n = std::strlen(name);
-  if (n >= sizeof(r.name)) n = sizeof(r.name) - 1;
-  std::memcpy(r.name, name, n);
-  r.name[n] = '\0';
-}
-
-flight_ring& local_flight() {
-  if (t_flight == nullptr) {
-    auto* r = new flight_ring();  // leaked: outlives the thread on purpose
-    r->os_tid = os_tid();
-    {
-      mutex_lock lock(registry().trace_mtx);
-      if (!t_ring.pending_name.empty())
-        flight_set_name(*r, t_ring.pending_name.c_str());
-    }
-    const int i = g_flight_n.fetch_add(1, std::memory_order_relaxed);
-    if (i < kMaxFlightRings) {
-      g_flight[i].store(r, std::memory_order_release);
-      t_flight = r;
-    } else {
-      // Registry full: record into a shared overflow ring that is never
-      // flushed. Torn records from concurrent writers are acceptable —
-      // this only happens past 256 recording threads.
-      delete r;
-      static flight_ring* overflow = new flight_ring();
-      t_flight = overflow;
-    }
-  }
-  return *t_flight;
-}
-
 /// Decoded record used by the flush path.
 struct event_rec {
   std::uint64_t ts = 0;
@@ -208,7 +128,7 @@ void append_event(std::string& out, const event_rec& ev, int tid) {
 /// Steady-state record path: four relaxed stores and one release publish
 /// into a ring that already exists. Lock-free and allocation-free, so it
 /// is safe from any context, including async-I/O completions — and the
-/// analyzer holds it to that. Shared by the trace and flight rings.
+/// analyzer holds it to that.
 void record_slot(trace_slot* slots, std::uint64_t mask,
                  std::atomic<std::uint64_t>& head, event_kind kind,
                  const char* name, std::uint64_t arg) FLASHR_NONBLOCKING;
@@ -228,30 +148,15 @@ void record_slot(trace_slot* slots, std::uint64_t mask,
 
 }  // namespace
 
-// Blocking-exempt rationale: the slow path (local_ring/local_flight)
-// registers this thread's ring(s) — one allocation plus the registry lock,
-// once per thread per epoch. Threads that enter nonblocking contexts (the
-// I/O service threads) pre-register via ensure_thread_ring() at startup, so
-// in steady state emit() from a completion is record_slot() alone.
+// Blocking-exempt rationale: the slow path (local_ring) registers this
+// thread's ring — one allocation plus the registry lock, once per thread
+// per epoch. Threads that enter nonblocking contexts (the I/O service
+// threads) pre-register via ensure_thread_ring() at startup, so in steady
+// state emit() from a completion is record_slot() alone.
 FLASHR_BLOCKING_EXEMPT(
     "once-per-thread ring registration; I/O threads pre-register via "
     "ensure_thread_ring")
 void emit(event_kind kind, const char* name, std::uint64_t arg) {
-  const std::uint32_t m = detail::g_record_mask.load(std::memory_order_relaxed);
-  if ((m & detail::kTraceBit) != 0) {
-    trace_ring& r = local_ring();
-    record_slot(r.slots.data(), r.mask, r.head, kind, name, arg);
-  }
-  if ((m & detail::kFlightBit) != 0) {
-    flight_ring& r = local_flight();
-    record_slot(r.slots, kFlightCap - 1, r.head, kind, name, arg);
-  }
-}
-
-FLASHR_BLOCKING_EXEMPT(
-    "once-per-thread ring registration; I/O threads pre-register via "
-    "ensure_thread_ring")
-void emit_trace_only(event_kind kind, const char* name, std::uint64_t arg) {
   if (!trace_on()) return;
   trace_ring& r = local_ring();
   record_slot(r.slots.data(), r.mask, r.head, kind, name, arg);
@@ -259,15 +164,13 @@ void emit_trace_only(event_kind kind, const char* name, std::uint64_t arg) {
 
 void ensure_thread_ring() {
   if (trace_on()) (void)local_ring();
-  if (flight_on()) (void)local_flight();
 }
 
 void set_thread_name(const char* name) {
   t_ring.pending_name = name;
-  if (t_ring.ring || t_flight != nullptr) {
+  if (t_ring.ring) {
     mutex_lock lock(registry().trace_mtx);
-    if (t_ring.ring) t_ring.ring->name = name;
-    if (t_flight != nullptr) flight_set_name(*t_flight, name);
+    t_ring.ring->name = name;
   }
   // Every named engine thread is also a sampler track; the sampler copies
   // the name and records this thread's stack bounds for its stack walk.
@@ -394,100 +297,6 @@ std::size_t trace_dropped() {
   for (const auto& ring : reg.rings)
     dropped += ring_dropped(*ring, ring->head.load(std::memory_order_acquire));
   return dropped;
-}
-
-std::vector<flight_track> flight_collect(std::uint64_t since_ns) {
-  std::vector<flight_track> out;
-  int n = g_flight_n.load(std::memory_order_acquire);
-  if (n > kMaxFlightRings) n = kMaxFlightRings;
-  for (int ri = 0; ri < n; ++ri) {
-    flight_ring* r = g_flight[ri].load(std::memory_order_acquire);
-    if (r == nullptr) continue;  // registration mid-publish
-    flight_track track;
-    track.os_tid = r->os_tid;
-    {
-      mutex_lock lock(registry().trace_mtx);  // name writers hold this too
-      track.name.assign(r->name, strnlen(r->name, sizeof(r->name)));
-    }
-
-    const std::uint64_t head = r->head.load(std::memory_order_acquire);
-    const std::uint64_t lo = head > kFlightCap ? head - kFlightCap : 0;
-    std::vector<flight_event> evs;
-    evs.reserve(static_cast<std::size_t>(head - lo));
-    for (std::uint64_t i = lo; i < head; ++i) {
-      const trace_slot& s = r->slots[i & (kFlightCap - 1)];
-      flight_event ev;
-      ev.ts_ns = s.w[0].load(std::memory_order_relaxed);
-      ev.name = reinterpret_cast<const char*>(
-          static_cast<std::uintptr_t>(s.w[1].load(std::memory_order_relaxed)));
-      ev.kind = static_cast<event_kind>(s.w[2].load(std::memory_order_relaxed));
-      ev.arg = s.w[3].load(std::memory_order_relaxed);
-      evs.push_back(ev);
-    }
-    // Same torn-copy discipline as trace_json: discard anything a live
-    // writer may have overwritten while we copied.
-    const std::uint64_t head2 = r->head.load(std::memory_order_acquire);
-    const std::uint64_t lo2 = head2 > kFlightCap ? head2 - kFlightCap : 0;
-    std::size_t skip = lo2 > lo ? static_cast<std::size_t>(lo2 - lo) : 0;
-    if (skip > evs.size()) skip = evs.size();
-
-    track.dropped = (head > kFlightCap ? head - kFlightCap : 0) + skip;
-    for (std::size_t i = skip; i < evs.size(); ++i)
-      if (evs[i].ts_ns >= since_ns) track.events.push_back(evs[i]);
-    out.push_back(std::move(track));
-  }
-  return out;
-}
-
-FLASHR_SIGNAL_SAFE void flight_dump_raw(raw_sink& sink) noexcept {
-  // Static buffers: the crash path must not allocate or grow the stack;
-  // the dump-once guard in crash_handler.cpp means a single writer.
-  static std::uint64_t snap[kFlightCap * 4];
-  static const char* strs[1024];
-  int n_strs = 0;
-
-  int n = g_flight_n.load(std::memory_order_relaxed);
-  if (n > kMaxFlightRings) n = kMaxFlightRings;
-  for (int ri = 0; ri < n; ++ri) {
-    flight_ring* r = g_flight[ri].load(std::memory_order_relaxed);
-    if (r == nullptr) continue;
-    const std::uint64_t head = r->head.load(std::memory_order_relaxed);
-    const std::uint64_t lo = head > kFlightCap ? head - kFlightCap : 0;
-    const std::uint64_t count = head - lo;
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const trace_slot& s = r->slots[(lo + i) & (kFlightCap - 1)];
-      for (int w = 0; w < 4; ++w)
-        snap[i * 4 + w] = s.w[w].load(std::memory_order_relaxed);
-      // Intern the name pointer (linear-scan dedupe; names are few).
-      const char* nm = reinterpret_cast<const char*>(
-          static_cast<std::uintptr_t>(snap[i * 4 + 1]));
-      if (nm != nullptr) {
-        bool seen = false;
-        for (int k = 0; k < n_strs; ++k)
-          if (strs[k] == nm) { seen = true; break; }
-        if (!seen && n_strs < 1024) strs[n_strs++] = nm;
-      }
-    }
-    sink_tag(sink, "FRNG", 4 + 4 + 32 + 8 + 8 + 8 + count * 32);
-    sink_u32(sink, r->os_tid);
-    sink_u32(sink, 0);
-    sink_put(sink, r->name, 32);
-    sink_u64(sink, kFlightCap);
-    sink_u64(sink, head);
-    sink_u64(sink, count);
-    for (std::uint64_t i = 0; i < count * 4; ++i) sink_u64(sink, snap[i]);
-  }
-
-  std::uint64_t payload = 4;
-  for (int k = 0; k < n_strs; ++k) payload += 12 + std::strlen(strs[k]);
-  sink_tag(sink, "STRT", payload);
-  sink_u32(sink, static_cast<std::uint32_t>(n_strs));
-  for (int k = 0; k < n_strs; ++k) {
-    const std::size_t len = std::strlen(strs[k]);
-    sink_u64(sink, reinterpret_cast<std::uintptr_t>(strs[k]));
-    sink_u32(sink, static_cast<std::uint32_t>(len));
-    sink_put(sink, strs[k], len);
-  }
 }
 
 }  // namespace flashr::obs

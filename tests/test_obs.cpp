@@ -2,8 +2,8 @@
 // drop-oldest, disabled-mode silence, concurrent flush), Chrome-JSON output
 // validity and span nesting under all three exec modes, histogram
 // percentile math, registry probes vs the legacy pass_stats/io_stats
-// counters they mirror, explain() goldens, structured logging, and the
-// now-safe concurrent last_pass_stats() reader.
+// counters they mirror, pass_stats struct/JSON parity, explain() goldens,
+// structured logging, and the now-safe concurrent last_pass_stats() reader.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -19,7 +19,6 @@
 
 #include "common/config.h"
 #include "common/log.h"
-#include "common/timer.h"
 #include "core/dense_matrix.h"
 #include "core/exec.h"
 #include "io/safs.h"
@@ -455,6 +454,45 @@ TEST(ObsMetrics, ConcurrentLastPassStatsReaderIsSafe) {
   EXPECT_EQ(torn.load(), 0);
 }
 
+// Every numeric field named by FLASHR_PASS_STATS_FIELDS must appear in
+// to_json() with its exact value, plus degrade_path, and nothing else: the
+// key count is pinned so a field added to the struct without extending the
+// X-macro (which the static_assert in exec.h already rejects) — or a key
+// typo in a future rewrite — fails here instead of silently dropping data
+// from the bench records and the pass.* metrics.
+TEST(PassStatsJson, FieldKeyParity) {
+  exec::pass_stats s;
+  // Distinct, recognisable values per field, in declaration order.
+  std::uint64_t v = 1000;
+#define FLASHR_SET_FIELD(f) s.f = static_cast<decltype(s.f)>(++v);
+  FLASHR_PASS_STATS_FIELDS(FLASHR_SET_FIELD)
+#undef FLASHR_SET_FIELD
+  s.degrade_path = "depth:8->4,chunk:2048->1024";
+  const std::string json = s.to_json();
+
+  std::size_t fields = 0;
+  v = 1000;
+#define FLASHR_CHECK_FIELD(f)                                              \
+  ++fields;                                                                \
+  EXPECT_NE(json.find("\"" #f "\": " + std::to_string(++v)),               \
+            std::string::npos)                                             \
+      << #f << " missing or wrong in " << json;
+  FLASHR_PASS_STATS_FIELDS(FLASHR_CHECK_FIELD)
+#undef FLASHR_CHECK_FIELD
+  EXPECT_NE(json.find("\"degrade_path\": \"depth:8->4,chunk:2048->1024\""),
+            std::string::npos)
+      << json;
+
+  // Exactly one JSON key per numeric field + degrade_path.
+  std::size_t keys = 0;
+  for (std::size_t pos = json.find('"'); pos != std::string::npos;
+       pos = json.find('"', pos + 1)) {
+    ++keys;
+  }
+  // Keys are quoted twice; degrade_path's value adds one more quoted string.
+  EXPECT_EQ(keys, (fields + 1) * 2 + 2) << json;
+}
+
 // ---------------------------------------------------------------------------
 // Explain
 // ---------------------------------------------------------------------------
@@ -588,36 +626,6 @@ TEST(ObsExplain, GoldenSparseInputDag) {
       want_sum += acc;
     }
   EXPECT_NEAR(d.scalar(), want_sum, std::abs(want_sum) * 1e-10);
-}
-
-// Kernel spans open once per node per chunk, so they are trace-only: with
-// tracing off, a 4-thread cache-fuse pass leaves the always-on flight
-// recorder holding its pass and partition context and no kernel spans.
-TEST(ObsFlight, KernelSpansStayOutOfTheFlightRecorder) {
-  options o = obs_options();
-  o.mode = exec_mode::cache_fuse;
-  o.obs_trace = false;
-  o.obs_flight = true;
-  init(o);
-  ASSERT_TRUE(obs::flight_on());
-  ASSERT_FALSE(obs::trace_on());
-
-  dense_matrix X = dense_matrix::runif(200000, 8, 0, 1, 23);
-  const std::uint64_t t0 = now_ns();
-  const double v = sum(sqrt(abs(X * 2.0 + 1.0))).scalar();
-  EXPECT_GT(v, 0.0);
-
-  std::unordered_map<std::string, std::size_t> spans;
-  for (const obs::flight_track& t : obs::flight_collect(t0))
-    for (const obs::flight_event& e : t.events)
-      if (e.kind == obs::event_kind::begin && e.name != nullptr)
-        ++spans[e.name];
-  for (int k = 0; k <= static_cast<int>(node_kind::s_count_groups); ++k) {
-    const char* name = node_kind_name(static_cast<node_kind>(k));
-    EXPECT_EQ(spans.count(name), 0u) << "kernel span in flight: " << name;
-  }
-  EXPECT_GT(spans["pass"], 0u);
-  EXPECT_GT(spans["partition"], 0u);
 }
 
 // ---------------------------------------------------------------------------

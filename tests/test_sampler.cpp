@@ -1,15 +1,9 @@
-// Sampling-profiler tests (src/obs/sampler.*, prof_store.*, the new stats
-// server routes and the native Prometheus histogram export): zero-cost-off
-// gating, folded-stack shape, wait-state attribution, the explain_analyze
+// Sampling-profiler tests (src/obs/sampler.*): zero-cost-off gating,
+// folded-stack shape, wait-state attribution, the explain_analyze
 // sampled-self-time join (coverage of measured kernel time on one thread),
-// flashr-prof-v1 store round trip with traversal rejection, and concurrent
-// live-socket scrapes of /debug/pprof/profile while passes run (TSan gate).
+// the sampler's metrics, and concurrent exports while sampled passes run
+// (TSan gate).
 #include <gtest/gtest.h>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include <atomic>
 #include <cctype>
@@ -26,10 +20,8 @@
 #include "core/dense_matrix.h"
 #include "core/exec.h"
 #include "obs/metrics.h"
-#include "obs/prof_store.h"
 #include "obs/profile.h"
 #include "obs/sampler.h"
-#include "obs/stats_server.h"
 
 namespace flashr {
 namespace {
@@ -53,11 +45,10 @@ options sampler_options() {
 }
 
 /// Leave the process exactly as a fresh test expects it: sampler stopped,
-/// aggregates dropped, store disarmed.
+/// aggregates dropped.
 void sampler_reset() {
   obs::sampler_stop();
   obs::sampler_clear();
-  obs::prof_store_disarm();
 }
 
 /// Burn CPU until `ms` of wall time passed (keeps the thread on-CPU so
@@ -290,144 +281,9 @@ TEST(Sampler, RestartAndClear) {
   EXPECT_TRUE(obs::folded_stacks().empty());
 }
 
-// ---------------------------------------------------------------------------
-// Profile-history store (flashr-prof-v1)
-// ---------------------------------------------------------------------------
-
-TEST(ProfStore, RecordRoundTripAndPrune) {
-  sampler_reset();
-  const std::string dir = "/tmp/flashr_test_prof_store";
-  std::system(("rm -rf " + dir).c_str());
-
-  obs::sampler_start(997);
-  {
-    obs::sample_pass_scope ps(obs::sampler_new_pass());
-    obs::sample_node_scope ns(3);
-    spin_ms(150);
-  }
-  obs::sampler_stop();
-
-  obs::prof_store_arm(dir, /*keep=*/3);
-  ASSERT_TRUE(obs::prof_store_armed());
-  std::string last;
-  for (int i = 0; i < 5; ++i) {
-    last = obs::prof_store_append("test");
-    ASSERT_FALSE(last.empty());
-  }
-  EXPECT_EQ(last.rfind("prof-", 0), 0u) << last;
-
-  // Retention: only the newest `keep` records remain listed.
-  const std::string list = obs::prof_store_list_json();
-  std::size_t count = 0;
-  for (std::size_t pos = list.find("\"name\""); pos != std::string::npos;
-       pos = list.find("\"name\"", pos + 1))
-    ++count;
-  EXPECT_EQ(count, 3u) << list;
-  EXPECT_NE(list.find(last), std::string::npos) << list;
-
-  std::string body;
-  ASSERT_TRUE(obs::prof_store_fetch(last, &body));
-  EXPECT_NE(body.find("\"schema\":\"flashr-prof-v1\""), std::string::npos);
-  EXPECT_NE(body.find("\"label\":\"test\""), std::string::npos);
-  EXPECT_NE(body.find("\"nodes\":"), std::string::npos);
-  EXPECT_NE(body.find("\"stacks\":"), std::string::npos);
-  EXPECT_NE(body.find("\"node\":3"), std::string::npos)
-      << "node aggregate lost in the record:\n" << body;
-
-  // Traversal and shape rejection.
-  EXPECT_FALSE(obs::prof_store_fetch("../" + last, &body));
-  EXPECT_FALSE(obs::prof_store_fetch("..", &body));
-  EXPECT_FALSE(obs::prof_store_fetch("/etc/passwd", &body));
-  EXPECT_FALSE(obs::prof_store_fetch("not-a-record.json", &body));
-  EXPECT_FALSE(obs::prof_store_fetch("prof-but-not-json.txt", &body));
-  EXPECT_FALSE(obs::prof_store_fetch("", &body));
-
-  obs::prof_store_disarm();
-  EXPECT_FALSE(obs::prof_store_armed());
-  EXPECT_EQ(obs::prof_store_append("after-disarm"), "");
-  std::system(("rm -rf " + dir).c_str());
-  sampler_reset();
-}
-
-// ---------------------------------------------------------------------------
-// Stats server routes
-// ---------------------------------------------------------------------------
-
-TEST(StatsServerSampler, ProfileEndpointRouting) {
-  sampler_reset();
-  // seconds=0: non-blocking snapshot, valid with the sampler off.
-  const std::string prof =
-      obs::stats_server::http_response("/debug/pprof/profile?seconds=0");
-  EXPECT_EQ(prof.rfind("HTTP/1.0 200 OK", 0), 0u) << prof;
-  EXPECT_NE(prof.find("Content-Type: text/plain"), std::string::npos);
-
-  // A malformed window is rejected up front — it must never fall back to
-  // the blocking default and stall the serial accept loop.
-  for (const char* q : {"seconds=x", "seconds=-1", "frobnicate=1"}) {
-    const std::string bad = obs::stats_server::http_response(
-        std::string("/debug/pprof/profile?") + q);
-    EXPECT_EQ(bad.rfind("HTTP/1.0 400 Bad Request", 0), 0u) << q << "\n" << bad;
-  }
-
-  const std::string list = obs::stats_server::http_response("/debug/profiles");
-  EXPECT_EQ(list.rfind("HTTP/1.0 200 OK", 0), 0u);
-  EXPECT_NE(list.find("Content-Type: application/json"), std::string::npos);
-  EXPECT_NE(list.find("\"records\""), std::string::npos) << list;
-
-  // Fetch: missing records and traversal attempts are both plain 404s.
-  for (const char* path : {"/debug/profiles/prof-00000000000000000000.json",
-                           "/debug/profiles/../../etc/passwd",
-                           "/debug/profiles/..",
-                           "/debug/profiles/not-a-record.json"}) {
-    const std::string r = obs::stats_server::http_response(path);
-    EXPECT_EQ(r.rfind("HTTP/1.0 404 Not Found", 0), 0u) << path << "\n" << r;
-  }
-}
-
-TEST(StatsServerSampler, ProfileEndpointCollectsWindow) {
-  sampler_reset();
-  // Sampler off: the endpoint starts it for the window, samples this
-  // process, and stops it again.
-  std::atomic<bool> stop{false};
-  std::thread burner([&stop] {
-    while (!stop.load(std::memory_order_relaxed)) spin_ms(10);
-  });
-  const std::string body = obs::folded_profile_window(1);
-  stop.store(true);
-  burner.join();
-  EXPECT_FALSE(obs::sampler_on()) << "window did not stop the sampler";
-  const std::vector<std::string> lines = folded_lines(body);
-  ASSERT_FALSE(lines.empty()) << "1s window over a busy process was empty";
-  for (const std::string& line : lines) expect_well_formed(line);
-  sampler_reset();
-}
-
-std::string http_get(int port, const std::string& path) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return "";
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) <
-      0) {
-    ::close(fd);
-    return "";
-  }
-  const std::string req = "GET " + path + " HTTP/1.0\r\nHost: t\r\n\r\n";
-  (void)::send(fd, req.data(), req.size(), 0);
-  std::string out;
-  char buf[4096];
-  ssize_t n;
-  while ((n = ::recv(fd, buf, sizeof(buf), 0)) > 0)
-    out.append(buf, static_cast<std::size_t>(n));
-  ::close(fd);
-  return out;
-}
-
-// TSan gate: scraping the sampler endpoints while sampled materializations
-// run must be race-free.
-TEST(StatsServerSampler, ConcurrentScrapeWhileSampling) {
+// TSan gate: exporting folded stacks, per-node samples, metrics and the
+// profile history while sampled materializations run must be race-free.
+TEST(Sampler, ConcurrentExportWhileSampling) {
   sampler_reset();
   options o = sampler_options();
   o.obs_profile = true;
@@ -436,21 +292,15 @@ TEST(StatsServerSampler, ConcurrentScrapeWhileSampling) {
   init(o);
   obs::profile_clear();
 
-  auto& s = obs::stats_server::global();
-  ASSERT_TRUE(s.start(0));
-  const int port = s.port();
-  ASSERT_GT(port, 0);
-
   std::atomic<bool> stop{false};
-  std::atomic<int> scrapes{0};
-  std::thread scraper([&stop, &scrapes, port] {
+  std::atomic<int> exports{0};
+  std::thread exporter([&stop, &exports] {
     while (!stop.load(std::memory_order_relaxed)) {
-      // seconds=0 keeps the scrape non-blocking; the serial accept loop
-      // would otherwise stall every other route behind the window.
-      if (!http_get(port, "/debug/pprof/profile?seconds=0").empty())
-        ++scrapes;
-      (void)http_get(port, "/debug/profiles");
-      (void)http_get(port, "/metrics");
+      (void)obs::folded_stacks();
+      (void)obs::sampler_pass_samples(0, nullptr);
+      (void)obs::metrics_registry::global().to_json();
+      (void)obs::profile_history();
+      ++exports;
     }
   });
 
@@ -460,57 +310,33 @@ TEST(StatsServerSampler, ConcurrentScrapeWhileSampling) {
   }
 
   stop.store(true);
-  scraper.join();
-  s.stop();
-  EXPECT_GT(scrapes.load(), 0);
+  exporter.join();
+  EXPECT_GT(exports.load(), 0);
   init(sampler_options());
   sampler_reset();
 }
 
-// ---------------------------------------------------------------------------
-// Native Prometheus histogram buckets (obs_prom_buckets)
-// ---------------------------------------------------------------------------
-
-TEST(PromBuckets, NativeHistogramExport) {
-  auto& h = obs::metrics_registry::global().get_histogram("samp.bucket_test");
-  h.reset();
-  h.record(0);
-  h.record(1);
-  h.record(2);
-  h.record(3);
-  h.record(100);
-
-  options o = sampler_options();
-  o.obs_prom_buckets = true;
-  init(o);
-  const std::string prom = obs::metrics_registry::global().to_prometheus();
-  init(sampler_options());
-
-  const std::string name = "flashr_samp_bucket_test";
-  EXPECT_NE(prom.find("# TYPE " + name + " histogram"), std::string::npos);
-  EXPECT_NE(prom.find(name + "_bucket{le=\"0\"} 1\n"), std::string::npos);
-  EXPECT_NE(prom.find(name + "_bucket{le=\"1\"} 2\n"), std::string::npos);
-  EXPECT_NE(prom.find(name + "_bucket{le=\"3\"} 4\n"), std::string::npos);
-  EXPECT_NE(prom.find(name + "_bucket{le=\"127\"} 5\n"), std::string::npos);
-  EXPECT_NE(prom.find(name + "_bucket{le=\"+Inf\"} 5\n"), std::string::npos);
-  EXPECT_NE(prom.find(name + "_count 5\n"), std::string::npos);
-  EXPECT_NE(prom.find(name + "_sum 106\n"), std::string::npos);
-  // No quantile series in native mode for this family.
-  EXPECT_EQ(prom.find(name + "{quantile"), std::string::npos);
-
-  // Default stays the summary exposition.
-  const std::string prom2 = obs::metrics_registry::global().to_prometheus();
-  EXPECT_NE(prom2.find("# TYPE " + name + " summary"), std::string::npos);
-  EXPECT_NE(prom2.find(name + "{quantile=\"0.5\"}"), std::string::npos);
-  EXPECT_EQ(prom2.find(name + "_bucket"), std::string::npos);
-}
-
-// The sampler's own health counters are exported for check_prom --require.
-TEST(PromBuckets, SamplerCountersExported) {
+// The sampler's own counters are registry probes: they read the live
+// sampler_stats(), and the registry's JSON carries them.
+TEST(Sampler, CountersExported) {
+  sampler_reset();
   obs::sampler_register_metrics();
-  const std::string prom = obs::metrics_registry::global().to_prometheus();
-  EXPECT_NE(prom.find("flashr_sampler_samples"), std::string::npos);
-  EXPECT_NE(prom.find("flashr_sampler_drops"), std::string::npos);
+  auto& reg = obs::metrics_registry::global();
+  obs::sampler_start(997);
+  spin_ms(100);
+  obs::sampler_stop();
+  const obs::sampler_counters c = obs::sampler_stats();
+  EXPECT_GT(c.samples, 0u);
+  bool found = false;
+  EXPECT_EQ(reg.value("sampler.samples", &found), c.samples);
+  EXPECT_TRUE(found);
+  found = false;
+  EXPECT_EQ(reg.value("sampler.drops", &found), c.dropped);
+  EXPECT_TRUE(found);
+  const std::string json = reg.to_json();
+  EXPECT_NE(json.find("\"sampler.samples\""), std::string::npos);
+  EXPECT_NE(json.find("\"sampler.drops\""), std::string::npos);
+  sampler_reset();
 }
 
 }  // namespace

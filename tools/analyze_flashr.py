@@ -22,15 +22,14 @@ cannot see):
                   verified on its own); FLASHR_BLOCKING_EXEMPT("why") stops
                   the descent (use sparingly, with the reason in the code).
 
-  signal-safe     Functions marked FLASHR_SIGNAL_SAFE (the crash handler and
-                  everything it reaches: raw_sink helpers, the flight-ring /
-                  held-ranks / log-tail raw dumpers) may run inside a fatal
-                  signal handler, where the interrupted thread can hold ANY
-                  lock — including malloc's.  Strictly stronger than
-                  nonblocking: no mutex of any rank (nonblocking_safe does
-                  not help — the crashed thread may hold that very mutex),
-                  no allocation, no logging, no blocking call other than
-                  the raw write/pwrite/read/pread/fsync/fdatasync/close
+  signal-safe     Functions marked FLASHR_SIGNAL_SAFE (the sampler's SIGPROF
+                  handler, obs/sampler.cpp, and everything it reaches) run
+                  inside a signal handler, where the interrupted thread can
+                  hold ANY lock — including malloc's.  Strictly stronger
+                  than nonblocking: no mutex of any rank (nonblocking_safe
+                  does not help — the interrupted thread may hold that very
+                  mutex), no allocation, no logging, no blocking call other
+                  than the raw write/pwrite/read/pread/fsync/fdatasync/close
                   family.  Calling another FLASHR_SIGNAL_SAFE function is
                   fine (verified on its own); FLASHR_BLOCKING_EXEMPT does
                   NOT stop this descent.
@@ -1194,8 +1193,8 @@ class Analysis:
 
     # -- signal-safe --------------------------------------------------------
 
-    # The raw syscall family that stays legal inside a fatal-signal handler
-    # (POSIX async-signal-safe, and the only I/O the crash dumper performs).
+    # The raw syscall family that stays legal inside a signal handler
+    # (POSIX async-signal-safe).
     SIGNAL_SAFE_SYMS = {"write", "pwrite", "read", "pread",
                         "fsync", "fdatasync", "close"}
 
@@ -1229,7 +1228,7 @@ class Analysis:
                         continue  # verified as its own root
                     # NOTE: 'exempt'/'nonblocking' do NOT stop the descent —
                     # those waivers are argued for thread contexts, not for
-                    # running under a fatal signal.
+                    # running inside a signal handler.
                     self._ss_walk(root, callee,
                                   chain + [(callee.qual, callee.file,
                                             callee.line)],
@@ -1242,7 +1241,7 @@ class Analysis:
         reported.add(rkey)
         self.add(Finding(
             "signal-safe", fn.file, op.line,
-            f"async-signal-unsafe operation reachable from crash-path "
+            f"async-signal-unsafe operation reachable from signal-handler "
             f"context '{root.qual}': {what}",
             chain + [(fn.qual, fn.file, op.line)]))
 

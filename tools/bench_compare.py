@@ -16,16 +16,8 @@ configuration fields (everything that is not a measurement), then reports:
 Exit 1 when any regression is flagged, unless --advisory (CI uses advisory
 mode: the report lands in the log but noise never blocks a merge).
 
-With --attribute, the two files are instead flashr-prof-v1 profile-history
-records (obs/prof_store.cpp, served at /debug/profiles/<name>): sample
-counts are converted to time via each record's sample period, and the
-report names which DAG node and which stack account for the regression —
-per-node cpu/io_wait/lock_wait deltas and per-stack self-time deltas,
-flagged past --threshold (with a --min-samples noise floor, default 5).
-
 Usage: bench_compare.py BASELINE.json CANDIDATE.json
                         [--threshold 0.25] [--io-threshold 0.10]
-                        [--attribute] [--min-samples 5]
                         [--advisory] [--self-test]
 """
 
@@ -116,90 +108,6 @@ def compare(base: dict, cand: dict, threshold: float,
     return report, regressions
 
 
-STATES = ("cpu", "io_wait", "lock_wait")
-
-
-def load_prof(doc: dict, name: str) -> tuple[int, dict, dict]:
-    """Validate a flashr-prof-v1 record; returns (period_ns, nodes, stacks).
-
-    nodes:  {node_id: {state: samples}} summed across passes;
-    stacks: {folded_stack: samples}.
-    """
-    if doc.get("schema") != "flashr-prof-v1":
-        raise ValueError(f"{name}: schema is {doc.get('schema')!r}, "
-                         f"expected 'flashr-prof-v1'")
-    period = doc.get("period_ns")
-    if not isinstance(period, int) or period <= 0:
-        raise ValueError(f"{name}: missing positive period_ns (was the "
-                         f"sampler running when this record was written?)")
-    nodes: dict[int, dict[str, int]] = {}
-    for n in doc.get("nodes", []):
-        acc = nodes.setdefault(n.get("node", -1),
-                               {s: 0 for s in STATES})
-        for s in STATES:
-            acc[s] += int(n.get(s, 0))
-    stacks = {s["stack"]: int(s["count"]) for s in doc.get("stacks", [])}
-    return period, nodes, stacks
-
-
-def attribute(base: dict, cand: dict, threshold: float,
-              min_samples: int) -> tuple[list[str], list[str]]:
-    """Diff two profile records; name the regressed nodes and stacks."""
-    report: list[str] = []
-    regressions: list[str] = []
-    worst_node: tuple[float, str] | None = None
-    worst_stack: tuple[float, str] | None = None
-    bperiod, bnodes, bstacks = load_prof(base, "baseline")
-    cperiod, cnodes, cstacks = load_prof(cand, "candidate")
-
-    def ms(samples: int, period: int) -> float:
-        return samples * period / 1e6
-
-    report.append(f"sample period: baseline {bperiod} ns, candidate "
-                  f"{cperiod} ns")
-    for node in sorted(set(bnodes) | set(cnodes)):
-        b = bnodes.get(node, {s: 0 for s in STATES})
-        c = cnodes.get(node, {s: 0 for s in STATES})
-        for s in STATES:
-            b_ms, c_ms = ms(b[s], bperiod), ms(c[s], cperiod)
-            if b[s] == 0 and c[s] == 0:
-                continue
-            label = f"node {node}" if node >= 0 else "unattributed"
-            grew = c_ms - b_ms
-            rel = grew / b_ms if b_ms > 0 else float("inf")
-            line = (f"{label}: {s} {b_ms:.2f} ms -> {c_ms:.2f} ms "
-                    f"({rel:+.1%})")
-            # Noise floor: a regression needs both enough candidate samples
-            # to trust and relative growth past the threshold.
-            if c[s] >= min_samples and rel > threshold:
-                line = "REGRESSION " + line
-                regressions.append(line)
-                if worst_node is None or grew > worst_node[0]:
-                    worst_node = (grew, line)
-            report.append(line)
-
-    for stack in sorted(set(bstacks) | set(cstacks)):
-        bs, cs = bstacks.get(stack, 0), cstacks.get(stack, 0)
-        b_ms, c_ms = ms(bs, bperiod), ms(cs, cperiod)
-        grew = c_ms - b_ms
-        rel = grew / b_ms if b_ms > 0 else float("inf")
-        if cs >= min_samples and rel > threshold:
-            line = (f"REGRESSION stack {stack}: {b_ms:.2f} ms -> "
-                    f"{c_ms:.2f} ms ({rel:+.1%})")
-            regressions.append(line)
-            if worst_stack is None or grew > worst_stack[0]:
-                worst_stack = (grew, line)
-            report.append(line)
-
-    # Lead the report with the single worst offender of each kind so a CI
-    # log scan answers "what regressed" in one line.
-    if worst_stack is not None:
-        report.insert(0, f"worst stack: {worst_stack[1]}")
-    if worst_node is not None:
-        report.insert(0, f"worst node: {worst_node[1]}")
-    return report, regressions
-
-
 def self_test() -> int:
     base = {
         "bench": "pipeline",
@@ -257,44 +165,6 @@ def self_test() -> int:
     identical, none_reg = compare(base, base, 0.25, 0.10)
     assert not none_reg, none_reg
     assert identical
-
-    # --attribute: profile-history records, node + stack naming.
-    pbase = {
-        "schema": "flashr-prof-v1", "label": "bench", "period_ns": 10000000,
-        "samples": 130, "dropped": 0,
-        "nodes": [{"pass": 1, "node": 3, "cpu": 100, "io_wait": 10,
-                   "lock_wait": 0},
-                  {"pass": 1, "node": 5, "cpu": 20, "io_wait": 0,
-                   "lock_wait": 0}],
-        "stacks": [{"stack": "worker-0;cpu;dgemm_kernel", "count": 100},
-                   {"stack": "worker-0;cpu;scale_kernel", "count": 20}],
-    }
-    pcand = {
-        "schema": "flashr-prof-v1", "label": "bench", "period_ns": 10000000,
-        "samples": 240, "dropped": 0,
-        "nodes": [{"pass": 1, "node": 3, "cpu": 102, "io_wait": 11,
-                   "lock_wait": 0},  # noise
-                  {"pass": 1, "node": 5, "cpu": 120, "io_wait": 0,
-                   "lock_wait": 7}],  # the regression
-        "stacks": [{"stack": "worker-0;cpu;dgemm_kernel", "count": 102},
-                   {"stack": "worker-0;cpu;scale_kernel", "count": 120}],
-    }
-    areport, aregs = attribute(pbase, pcand, 0.25, 5)
-    assert any("node 5" in r and "cpu" in r for r in aregs), aregs
-    assert any("scale_kernel" in r for r in aregs), aregs
-    assert not any("node 3" in r for r in aregs), "noise flagged"
-    assert not any("dgemm_kernel" in r for r in aregs), "noise flagged"
-    assert areport[0].startswith("worst node:") and "node 5" in areport[0]
-    assert "scale_kernel" in areport[1], areport[1]
-    # node 5 also gained lock_wait from nothing (infinite relative growth).
-    assert any("lock_wait" in r and "node 5" in r for r in aregs), aregs
-    _, clean = attribute(pbase, pbase, 0.25, 5)
-    assert not clean, clean
-    try:
-        attribute({"schema": "nope"}, pcand, 0.25, 5)
-        raise AssertionError("bad schema not rejected")
-    except ValueError:
-        pass
     print("bench_compare: self-test OK")
     return 0
 
@@ -309,13 +179,6 @@ def main() -> int:
     ap.add_argument("--io-threshold", type=float, default=0.10,
                     help="relative growth that flags an I/O-bytes regression "
                          "(default 0.10)")
-    ap.add_argument("--attribute", action="store_true",
-                    help="inputs are flashr-prof-v1 profile records; "
-                         "attribute the regression to DAG nodes and stacks")
-    ap.add_argument("--min-samples", type=int, default=5,
-                    help="--attribute noise floor: candidate needs at least "
-                         "N samples before a node/stack is flagged "
-                         "(default 5)")
     ap.add_argument("--advisory", action="store_true",
                     help="always exit 0 (report only)")
     ap.add_argument("--self-test", action="store_true",
@@ -336,21 +199,10 @@ def main() -> int:
         print(f"bench_compare: FAIL: {e}")
         return 1
 
-    if args.attribute:
-        try:
-            report, regressions = attribute(base, cand, args.threshold,
-                                            args.min_samples)
-        except ValueError as e:
-            print(f"bench_compare: FAIL: {e}")
-            return 1
-        print(f"bench_compare: profile {base.get('label', '?')} -> "
-              f"{cand.get('label', '?')}: {len(report)} comparisons, "
-              f"{len(regressions)} flagged")
-    else:
-        report, regressions = compare(base, cand, args.threshold,
-                                      args.io_threshold)
-        print(f"bench_compare: {base.get('bench', '?')}: "
-              f"{len(report)} comparisons, {len(regressions)} flagged")
+    report, regressions = compare(base, cand, args.threshold,
+                                  args.io_threshold)
+    print(f"bench_compare: {base.get('bench', '?')}: "
+          f"{len(report)} comparisons, {len(regressions)} flagged")
     for line in report:
         print(f"  {line}")
     if regressions and not args.advisory:
